@@ -253,7 +253,9 @@
 // same single-dispatcher path, so chaos runs reproduce exactly.
 //
 // internal/hepim drives BFV batches through the plane
-// (NewServerWithTopology) and aggregates per-launch pimsched.Reports;
+// (NewServerWithTopology), one scheduler run per batched op (AddMany
+// over every pair, Sum over every component), and keeps a running
+// total of the runs' pimsched.Reports;
 // hebfv surfaces the result as Context.PIMBreakdown — shards, launches,
 // kernel cycles, per-direction transfer seconds and bytes, pipelined vs
 // serialized makespan, and energy split by kernel vs transfer. The

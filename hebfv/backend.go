@@ -468,25 +468,17 @@ func (e *pimEngine) MulMany(as, bs []*bfv.Ciphertext) ([]*bfv.Ciphertext, error)
 	return out, nil
 }
 
+// AddMany adds every pair in one scheduler run (hepim.Server.AddMany).
 func (e *pimEngine) AddMany(as, bs []*bfv.Ciphertext) ([]*bfv.Ciphertext, error) {
-	if len(as) != len(bs) {
-		return nil, fmt.Errorf("hebfv: AddMany length mismatch: %d vs %d", len(as), len(bs))
-	}
-	out := make([]*bfv.Ciphertext, len(as))
-	for i := range as {
-		r, err := e.Add(as[i], bs[i])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
-	}
-	return out, nil
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.srv.AddMany(as, bs)
 }
 
 func (e *pimEngine) KernelLaunches() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.srv.Reports)
+	return e.srv.Runs()
 }
 
 func (e *pimEngine) ModeledSeconds() float64 {

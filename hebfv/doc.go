@@ -130,7 +130,11 @@
 // retained big.Int rescale baseline), "schoolbook" (the O(n²) path that
 // is the paper's PIM cost model and the correctness oracle), and "pim"
 // (the simulated UPMEM server; Context.PIMReport exposes its modeled
-// kernel time). All backends are mutually bit-identical — the
+// kernel time). On "pim" a batched op is one kernel launch set: AddMany
+// adds every pair, and Sum reduces every component, in a single
+// scheduler run sharded over all DPUs, as the paper's Fig. 1a vector
+// addition is one batched launch. PIMReport counts these runs. All
+// backends are mutually bit-identical — the
 // differential tests in this package prove it across the facade,
 // RotateRows/InnerSum slot semantics included. The Backend/Engine
 // registry (RegisterBackend, NewEngine) is the mount point for new

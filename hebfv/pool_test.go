@@ -227,7 +227,9 @@ func TestPooledDecodeBytesReduction(t *testing.T) {
 	off := servePathBytesPerOp(t, unpooled, blobA, blobB, iters)
 	t.Logf("serve-path add: %.0f bytes/op pooled vs %.0f bytes/op retention-off (%.1f%% reduction)",
 		on, off, (1-on/off)*100)
-	if on > 0.7*off {
+	// Under the race detector sync.Pool drops items on purpose, so the
+	// reduction holds only without it, where the allocation gates run.
+	if !raceEnabled && on > 0.7*off {
 		t.Fatalf("pooled serve path allocates %.0f bytes/op vs %.0f unpooled; want >=30%% reduction", on, off)
 	}
 	if s := pooled.PoolStats(); s.InUse != 0 {
@@ -283,14 +285,19 @@ func TestServeAllocsSteadyState(t *testing.T) {
 
 	t.Logf("steady-state decode->marshal->release: %.1f allocs/op, %.0f bytes/op (backing is %d bytes)",
 		allocs, bytesPerOp, backingBytes)
-	// A single leaked backing re-allocation would add backingBytes per
-	// op; the fixed header/handle structs stay well under half of one.
-	if bytesPerOp >= float64(backingBytes)/2 {
-		t.Fatalf("steady-state serve path allocates %.0f bytes/op; backings (%d bytes) are not being recycled",
-			bytesPerOp, backingBytes)
-	}
-	if allocs > 64 {
-		t.Fatalf("steady-state serve path makes %.1f allocs/op; want a small fixed count", allocs)
+	// The race detector drops sync.Pool items on purpose, so the bounds
+	// hold only without it; the blocking allocation gates run without.
+	if !raceEnabled {
+		// A single leaked backing re-allocation would add backingBytes
+		// per op; the fixed header/handle structs stay well under half
+		// of one.
+		if bytesPerOp >= float64(backingBytes)/2 {
+			t.Fatalf("steady-state serve path allocates %.0f bytes/op; backings (%d bytes) are not being recycled",
+				bytesPerOp, backingBytes)
+		}
+		if allocs > 64 {
+			t.Fatalf("steady-state serve path makes %.1f allocs/op; want a small fixed count", allocs)
+		}
 	}
 	if s := ctx.PoolStats(); s.InUse != 0 {
 		t.Fatalf("pool leaks after steady-state loop: %+v", s)

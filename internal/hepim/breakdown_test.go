@@ -55,9 +55,13 @@ func TestBreakdownAggregatesSchedReports(t *testing.T) {
 	if bd.Topology != f.srv.Sched.Topo || !bd.Overlap {
 		t.Errorf("breakdown topology/overlap not carried: %+v", bd)
 	}
-	if len(f.srv.SchedReports) != len(f.srv.Reports) {
-		t.Errorf("report streams diverged: %d sched vs %d flat",
-			len(f.srv.SchedReports), len(f.srv.Reports))
+	// Mul is four scheduler runs: tensor products, relinearization
+	// products, and the two final sums.
+	if f.srv.Runs() != 4 {
+		t.Errorf("Mul recorded %d scheduler runs, want 4", f.srv.Runs())
+	}
+	if bd.Launches < f.srv.Runs() || bd.Chunks != bd.Launches {
+		t.Errorf("breakdown launches %d / chunks %d for %d runs", bd.Launches, bd.Chunks, f.srv.Runs())
 	}
 	if bd.Launches == 0 || bd.Shards == 0 || bd.KernelCycles <= 0 {
 		t.Errorf("empty breakdown: %+v", bd)

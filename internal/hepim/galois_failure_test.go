@@ -88,11 +88,7 @@ func TestServerDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var cycles int64
-		for _, r := range srv.Reports {
-			cycles += r.KernelCycles
-		}
-		return cycles, prod
+		return srv.Breakdown().KernelCycles, prod
 	}
 	c1, p1 := run()
 	c2, p2 := run()

@@ -4,7 +4,10 @@
 // back still encrypted.
 //
 // Addition and summation run entirely as DPU kernels and are bit-exact
-// against the host evaluator. Multiplication follows the paper's split:
+// against the host evaluator. A batched op is one launch set: AddMany
+// adds every pair, and Sum reduces every component, in a single
+// scheduler run sharded over all DPUs, so launch overheads are paid
+// once per batch rather than once per ciphertext or component. Multiplication follows the paper's split:
 // the polynomial multiplications (the dominant cost) run on the PIM
 // cores, while the host performs the t/q rescaling — made exact by
 // lifting centered operands into a 256-bit working modulus wide enough
@@ -25,10 +28,10 @@ import (
 
 // Server is a PIM-resident BFV evaluation service. All kernels run
 // through the async multi-DPU execution plane (internal/pimsched):
-// work is sharded over the scheduler's rank×DPU topology and the
-// per-op reports carry the sharded cycle/transfer/energy breakdown,
-// including both the pipelined makespan and the no-overlap serial
-// time.
+// work is sharded over the scheduler's rank×DPU topology, and the
+// server keeps a running total of the runs' sharded
+// cycle/transfer/energy breakdowns, including both the pipelined
+// makespan and the no-overlap serial time.
 type Server struct {
 	Sys    *pim.System
 	Sched  *pimsched.Scheduler
@@ -37,11 +40,8 @@ type Server struct {
 	lift *poly.Modulus // 256-bit lift modulus for exact tensor products
 	rlk  *bfv.RelinKey
 
-	// Reports collects the launch reports of every kernel this server ran
-	// (reset with ResetReports), in the flat pim.Report shape older
-	// consumers read; SchedReports carries the full sharded breakdowns.
-	Reports      []*pim.Report
-	SchedReports []*pimsched.Report
+	total pimsched.Report // every run since the last ResetReports
+	runs  int
 }
 
 // NewServer builds a PIM evaluation server over the largest whole-rank
@@ -81,72 +81,75 @@ func NewServerWithTopology(cfg pim.SystemConfig, params *bfv.Parameters, rlk *bf
 	return &Server{Sys: sys, Sched: sched, Params: params, lift: lift, rlk: rlk}, nil
 }
 
-// ResetReports clears the accumulated kernel reports.
-func (s *Server) ResetReports() { s.Reports, s.SchedReports = nil, nil }
+// ResetReports clears the accumulated breakdown and run count.
+func (s *Server) ResetReports() { s.total, s.runs = pimsched.Report{}, 0 }
 
-// record folds one scheduler run into both report streams.
+// record folds one scheduler run into the running total.
 func (s *Server) record(rep *pimsched.Report) {
-	s.SchedReports = append(s.SchedReports, rep)
-	s.Reports = append(s.Reports, &pim.Report{
-		KernelCycles:   rep.KernelCycles,
-		KernelSeconds:  rep.KernelSeconds,
-		CopyInSeconds:  rep.CopyInSeconds,
-		CopyOutSeconds: rep.CopyOutSeconds,
-		TotalInstr:     rep.TotalInstr,
-		TotalDMACycles: rep.TotalDMACycles,
-		Counts:         rep.Counts,
-		ActiveDPUs:     rep.ActiveDPUs,
-	})
+	s.total.Accumulate(rep)
+	s.runs++
 }
 
-// ModeledSeconds sums the modeled kernel time of the accumulated reports.
-func (s *Server) ModeledSeconds() float64 {
-	var t float64
-	for _, r := range s.Reports {
-		t += r.KernelSeconds
-	}
-	return t
-}
+// Runs is the number of scheduler runs since the last ResetReports:
+// one per batched op, a few per Mul or ApplyGalois.
+func (s *Server) Runs() int { return s.runs }
 
-// Breakdown aggregates the accumulated scheduler reports into one
-// sharded cycle/transfer/energy summary for the whole run so far.
+// ModeledSeconds is the modeled kernel time, launch overheads
+// included, of the runs since the last ResetReports.
+func (s *Server) ModeledSeconds() float64 { return s.total.KernelSeconds }
+
+// Breakdown is the sharded cycle/transfer/energy summary of the runs
+// since the last ResetReports.
 func (s *Server) Breakdown() *pimsched.Report {
-	total := &pimsched.Report{Topology: s.Sched.Topo, Overlap: s.Sched.Overlap}
-	for _, r := range s.SchedReports {
-		total.Accumulate(r)
-	}
-	return total
-}
-
-// flattenPolys concatenates ciphertext component p of every ciphertext.
-func flattenPolys(cts []*bfv.Ciphertext, comp, n, w int) []uint32 {
-	out := make([]uint32, 0, len(cts)*n*w)
-	for _, ct := range cts {
-		out = append(out, ct.Polys[comp].C...)
-	}
-	return out
+	total := s.total
+	total.Topology, total.Overlap = s.Sched.Topo, s.Sched.Overlap
+	return &total
 }
 
 // Add returns ct0 + ct1 computed by the PIM vector-addition kernel.
 // Bit-exact against bfv.Evaluator.Add.
 func (s *Server) Add(ct0, ct1 *bfv.Ciphertext) (*bfv.Ciphertext, error) {
-	if len(ct0.Polys) != len(ct1.Polys) {
-		return nil, errors.New("hepim: degree mismatch (relinearize first)")
+	out, err := s.AddMany([]*bfv.Ciphertext{ct0}, []*bfv.Ciphertext{ct1})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// AddMany returns as[i] + bs[i] for every pair in one vector-addition
+// scheduler run over all pairs' components: the batch is sharded as
+// the concatenation of the components, pair by pair, so the DPUs split
+// the whole batch between them. Bit-exact against bfv.Evaluator.Add.
+func (s *Server) AddMany(as, bs []*bfv.Ciphertext) ([]*bfv.Ciphertext, error) {
+	if len(as) != len(bs) {
+		return nil, fmt.Errorf("hepim: AddMany length mismatch: %d vs %d", len(as), len(bs))
+	}
+	res := make([]*bfv.Ciphertext, len(as))
+	if len(as) == 0 {
+		return res, nil
 	}
 	par := s.Params
-	n, w := par.N, par.Q.W
-	a := flattenPolys([]*bfv.Ciphertext{ct0}, 0, n, w)
-	b := flattenPolys([]*bfv.Ciphertext{ct1}, 0, n, w)
-	for c := 1; c < len(ct0.Polys); c++ {
-		a = append(a, ct0.Polys[c].C...)
-		b = append(b, ct1.Polys[c].C...)
+	var a, b, outs [][]uint32
+	for i, ct0 := range as {
+		ct1 := bs[i]
+		if len(ct0.Polys) != len(ct1.Polys) {
+			return nil, errors.New("hepim: degree mismatch (relinearize first)")
+		}
+		res[i] = &bfv.Ciphertext{Polys: make([]*poly.Poly, len(ct0.Polys))}
+		for c := range ct0.Polys {
+			p := poly.NewPoly(par.N, par.Q.W)
+			res[i].Polys[c] = p
+			a = append(a, ct0.Polys[c].C)
+			b = append(b, ct1.Polys[c].C)
+			outs = append(outs, p.C)
+		}
 	}
-	out, rep, err := kernels.RunVectorAddSched(s.Sched, a, b, w, par.Q.Q)
+	rep, err := kernels.RunVectorAddBatchSched(s.Sched, a, b, outs, par.Q.W, par.Q.Q)
 	if err != nil {
 		return nil, err
 	}
 	s.record(rep)
-	return unflatten(out, len(ct0.Polys), n, w), nil
+	return res, nil
 }
 
 // Neg returns −ct. Negation is a single data-recoding pass (q − x per
@@ -185,47 +188,38 @@ func (s *Server) AddPlain(ct *bfv.Ciphertext, pt *bfv.Plaintext) (*bfv.Ciphertex
 	return s.Add(ct, other)
 }
 
-// Sum reduces many degree-1 ciphertexts in one kernel launch per
-// component — the paper's arithmetic-mean aggregation.
+// Sum reduces many ciphertexts of one degree in a single scheduler
+// run — the paper's arithmetic-mean aggregation. Shards cover
+// (component, coefficient range) pairs, so all components share one
+// launch set.
 func (s *Server) Sum(cts []*bfv.Ciphertext) (*bfv.Ciphertext, error) {
 	if len(cts) == 0 {
 		return nil, errors.New("hepim: empty sum")
 	}
 	par := s.Params
-	n, w := par.N, par.Q.W
 	comps := len(cts[0].Polys)
 	for _, ct := range cts {
 		if len(ct.Polys) != comps {
 			return nil, errors.New("hepim: mixed-degree ciphertexts in sum")
 		}
 	}
-	outPolys := make([]*poly.Poly, comps)
-	for c := 0; c < comps; c++ {
-		vecs := make([][]uint32, len(cts))
+	groups := make([][][]uint32, comps)
+	outs := make([][]uint32, comps)
+	res := &bfv.Ciphertext{Polys: make([]*poly.Poly, comps)}
+	for c := range groups {
+		groups[c] = make([][]uint32, len(cts))
 		for i, ct := range cts {
-			vecs[i] = ct.Polys[c].C
+			groups[c][i] = ct.Polys[c].C
 		}
-		out, rep, err := kernels.RunVectorSumSched(s.Sched, vecs, w, par.Q.Q)
-		if err != nil {
-			return nil, err
-		}
-		s.record(rep)
-		p := poly.NewPoly(n, w)
-		copy(p.C, out)
-		outPolys[c] = p
+		res.Polys[c] = poly.NewPoly(par.N, par.Q.W)
+		outs[c] = res.Polys[c].C
 	}
-	return &bfv.Ciphertext{Polys: outPolys}, nil
-}
-
-// unflatten splits a flat limb vector back into ciphertext polynomials.
-func unflatten(flat []uint32, comps, n, w int) *bfv.Ciphertext {
-	polys := make([]*poly.Poly, comps)
-	for c := 0; c < comps; c++ {
-		p := poly.NewPoly(n, w)
-		copy(p.C, flat[c*n*w:(c+1)*n*w])
-		polys[c] = p
+	rep, err := kernels.RunVectorSumBatchSched(s.Sched, groups, outs, par.Q.W, par.Q.Q)
+	if err != nil {
+		return nil, err
 	}
-	return &bfv.Ciphertext{Polys: polys}
+	s.record(rep)
+	return res, nil
 }
 
 // liftCentered maps a mod-q polynomial to the 256-bit lift modulus with

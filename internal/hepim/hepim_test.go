@@ -56,7 +56,7 @@ func TestServerAddMatchesHostBitExact(t *testing.T) {
 	if v := f.dec.DecryptValue(got); v != 12 {
 		t.Errorf("decrypt(PIM add) = %d", v)
 	}
-	if len(f.srv.Reports) == 0 || f.srv.ModeledSeconds() <= 0 {
+	if f.srv.Runs() != 1 || f.srv.ModeledSeconds() <= 0 {
 		t.Error("server recorded no kernel time")
 	}
 }
@@ -187,11 +187,18 @@ func TestResetReports(t *testing.T) {
 	if _, err := f.srv.Add(ct, ct); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.srv.Reports) == 0 {
+	if f.srv.Runs() == 0 {
 		t.Fatal("no reports recorded")
 	}
 	f.srv.ResetReports()
-	if len(f.srv.Reports) != 0 || f.srv.ModeledSeconds() != 0 {
+	if f.srv.Runs() != 0 || f.srv.ModeledSeconds() != 0 {
 		t.Error("ResetReports did not clear")
+	}
+	bd := f.srv.Breakdown()
+	if bd.Launches != 0 || bd.Shards != 0 || bd.KernelCycles != 0 || bd.MakespanSeconds != 0 {
+		t.Errorf("ResetReports left a breakdown: %+v", bd)
+	}
+	if bd.Topology != f.srv.Sched.Topo || bd.Overlap != f.srv.Sched.Overlap {
+		t.Errorf("reset breakdown lost topology/overlap: %+v", bd)
 	}
 }

@@ -54,8 +54,8 @@ func TestSec109AdditionPipelineRealParams(t *testing.T) {
 		t.Errorf("sec109 budget exhausted: %d", b)
 	}
 	// The kernel report must reflect the real 128-bit workload.
-	if len(srv.Reports) == 0 {
-		t.Fatal("no kernel reports")
+	if srv.Runs() != 1 {
+		t.Fatalf("sec109 Sum took %d scheduler runs, want 1", srv.Runs())
 	}
 	if srv.ModeledSeconds() <= 0 {
 		t.Error("no modeled kernel time")

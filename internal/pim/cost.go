@@ -18,6 +18,12 @@
 // Constants default to the first-generation UPMEM system of the paper
 // (2,524 DPUs at 425 MHz) with per-instruction and DMA costs taken from
 // the PrIM characterization (Gómez-Luna et al., IEEE Access 2022).
+//
+// MRAM is scratch per scheduler run. A DPU's MRAM image is grown on the
+// first copy into it, and the async execution plane (internal/pimsched)
+// drops the image of every DPU in its topology after a run's last
+// gather, so simulated device memory does not stay in the Go heap
+// between operations. No data lives in MRAM from one run to the next.
 package pim
 
 import "repro/internal/limb32"

@@ -15,7 +15,8 @@ const MRAMWords = 64 * 1024 * 1024 / 4
 
 // DPU models one DRAM Processing Unit: its MRAM bank and the cycle
 // accounting of the tasklets that ran on it. MRAM is allocated lazily so a
-// 2,524-DPU system does not reserve 158 GB of host memory.
+// 2,524-DPU system does not reserve 158 GB of host memory, and released
+// after each scheduler run (see ReleaseMRAM).
 type DPU struct {
 	ID   int
 	mram []uint32
@@ -44,11 +45,25 @@ func (d *DPU) EnsureMRAM(words int) error {
 // MRAM returns the raw MRAM image (host-side access, not charged).
 func (d *DPU) MRAM() []uint32 { return d.mram }
 
-// resetAccounting prepares per-tasklet counters for a launch.
+// ReleaseMRAM drops the MRAM image; the next copy or EnsureMRAM grows
+// a fresh zeroed one.
+func (d *DPU) ReleaseMRAM() { d.mram = nil }
+
+// resetAccounting zeroes the per-tasklet counters for a launch, reusing
+// the previous launch's slices.
 func (d *DPU) resetAccounting(tasklets int) {
-	d.taskletInstr = make([]int64, tasklets)
-	d.taskletDMA = make([]int64, tasklets)
+	d.taskletInstr = resetCounters(d.taskletInstr, tasklets)
+	d.taskletDMA = resetCounters(d.taskletDMA, tasklets)
 	d.counts.Reset()
+}
+
+func resetCounters(c []int64, n int) []int64 {
+	if cap(c) < n {
+		return make([]int64, n)
+	}
+	c = c[:n]
+	clear(c)
+	return c
 }
 
 // cycles folds the per-tasklet accounting into the DPU's kernel cycle
@@ -75,10 +90,13 @@ func (d *DPU) cycles(cost *CostModel) int64 {
 
 // TaskletCtx is the execution context handed to kernel code running as
 // one tasklet on one DPU. It implements limb32.Meter, so kernel arithmetic
-// charges the tasklet transparently.
+// charges the tasklet transparently. A launch reuses one context for all
+// tasklets of the DPUs one host worker runs, so kernels must not keep it
+// after they return.
 type TaskletCtx struct {
 	dpu         *DPU
 	cost        *CostModel
+	wram        []uint32
 	TaskletID   int
 	NumTasklets int
 }
@@ -117,6 +135,20 @@ func (c *TaskletCtx) MRAMWrite(off int, src []uint32) {
 	}
 	copy(c.dpu.mram[off:off+len(src)], src)
 	c.dpu.taskletDMA[c.TaskletID] += c.cost.DMACycles(4 * len(src))
+}
+
+// WRAM returns words words of tasklet scratch for WRAM tiles. The
+// buffer is reused by the next tasklet the context runs, so its contents
+// are undefined on entry and kernels must not keep it after they
+// return. Like real WRAM, it is not charged; the DMAs filling it are.
+func (c *TaskletCtx) WRAM(words int) []uint32 {
+	if words > WRAMWords {
+		panic("pim: WRAM request larger than WRAM")
+	}
+	if cap(c.wram) < words {
+		c.wram = make([]uint32, words)
+	}
+	return c.wram[:words]
 }
 
 // ChargeInstr charges raw dynamic instructions (loop setup, address

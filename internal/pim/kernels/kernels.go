@@ -47,9 +47,11 @@ func VectorAdd(l VecAddLayout) pim.KernelFunc {
 		}
 		w := l.W
 		tile := addTile(w)
-		bufA := make([]uint32, tile*w)
-		bufB := make([]uint32, tile*w)
-		bufO := make([]uint32, tile*w)
+		// Tiles hold at most this tasklet's share: no DMA is longer, so
+		// the transfers and their charges are the same as with full tiles.
+		tw := min(tile, end-start) * w
+		buf := ctx.WRAM(3 * tw)
+		bufA, bufB, bufO := buf[:tw], buf[tw:2*tw], buf[2*tw:]
 		for c := start; c < end; c += tile {
 			cnt := tile
 			if c+cnt > end {

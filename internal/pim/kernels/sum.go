@@ -32,8 +32,9 @@ func VectorSum(l VecSumLayout) pim.KernelFunc {
 		}
 		w := l.W
 		tile := addTile(w)
-		acc := make([]uint32, tile*w)
-		buf := make([]uint32, tile*w)
+		tw := min(tile, end-start) * w // see VectorAdd: same DMAs as full tiles
+		tiles := ctx.WRAM(2 * tw)
+		acc, buf := tiles[:tw], tiles[tw:]
 		for c := start; c < end; c += tile {
 			cnt := tile
 			if c+cnt > end {

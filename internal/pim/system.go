@@ -165,6 +165,7 @@ func (s *System) LaunchOn(ids []int, kernel func(dpuID int) KernelFunc) (*Report
 	seq := s.launchSeq
 	s.faultMu.Unlock()
 	run := make([]bool, len(ids))
+	kerns := make([]KernelFunc, len(ids))
 	straggle := make([]bool, len(ids))
 	for i, id := range ids {
 		if id < 0 || id >= len(s.DPUs) {
@@ -199,29 +200,34 @@ func (s *System) LaunchOn(ids []int, kernel func(dpuID int) KernelFunc) (*Report
 			s.faultMu.Unlock()
 		}
 		run[i] = true
+		kerns[i] = kernel(id)
 	}
 
+	// Fixed workers, one TaskletCtx each, take the DPUs in turn; a DPU's
+	// tasklets run sequentially on its worker.
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, id := range ids {
-		if !run[i] {
-			continue
-		}
-		d := s.DPUs[id]
-		d.resetAccounting(T)
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(d *DPU, slot int, kern KernelFunc) {
+	var next atomic.Int64
+	workers := min(runtime.GOMAXPROCS(0), len(ids))
+	wg.Add(workers)
+	for range workers {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			for t := 0; t < T; t++ {
-				ctx := &TaskletCtx{dpu: d, cost: s.Config.Cost, TaskletID: t, NumTasklets: T}
-				if err := kern(ctx); err != nil {
-					errs[slot] = fmt.Errorf("pim: DPU %d tasklet %d: %w", d.ID, t, err)
-					return
+			ctx := &TaskletCtx{cost: s.Config.Cost, NumTasklets: T}
+			for i := int(next.Add(1) - 1); i < len(ids); i = int(next.Add(1) - 1) {
+				if !run[i] {
+					continue
+				}
+				ctx.dpu = s.DPUs[ids[i]]
+				ctx.dpu.resetAccounting(T)
+				for t := 0; t < T; t++ {
+					ctx.TaskletID = t
+					if err := kerns[i](ctx); err != nil {
+						errs[i] = fmt.Errorf("pim: DPU %d tasklet %d: %w", ids[i], t, err)
+						break
+					}
 				}
 			}
-		}(d, i, kernel(id))
+		}()
 	}
 	wg.Wait()
 

@@ -173,7 +173,14 @@ type failedShard struct {
 // Run executes the shards across the topology and returns the merged
 // report. Faulted shards are retried (transient) or re-placed on
 // survivors (dead DPU) in bounded rounds; any non-fault error aborts.
+// MRAM is scratch for the run: once the last gather has returned, Run
+// drops the MRAM image of every DPU in the topology.
 func (s *Scheduler) Run(shards []Shard) (*Report, error) {
+	defer func() {
+		for _, d := range s.Sys.DPUs[:s.Topo.NumDPUs()] {
+			d.ReleaseMRAM()
+		}
+	}()
 	rep := &Report{Shards: len(shards), Topology: s.Topo, Overlap: s.Overlap}
 	for i := range shards {
 		rep.BytesIn += shards[i].BytesIn

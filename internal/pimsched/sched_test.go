@@ -1,6 +1,7 @@
 package pimsched
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -126,6 +127,36 @@ func TestVectorAddBitIdentical(t *testing.T) {
 	}
 	if rep.MakespanSeconds <= 0 || rep.KernelCycles <= 0 || rep.EnergyKernelJoules <= 0 {
 		t.Errorf("degenerate report: %+v", rep)
+	}
+}
+
+// TestRunReleasesMRAM: MRAM is scratch for one run, on success and on
+// an aborted run alike, so no simulated device memory outlives it.
+func TestRunReleasesMRAM(t *testing.T) {
+	topo := Topology{Ranks: 2, DPUsPerRank: 4}
+	sys := testSystem(t, topo)
+	_, _, want := testVectors(200)
+	runAdd(t, sys, topo, true, 200, 8, want)
+	for _, d := range sys.DPUs {
+		if n := len(d.MRAM()); n != 0 {
+			t.Fatalf("DPU %d keeps %d MRAM words after the run", d.ID, n)
+		}
+	}
+
+	a, b, _ := testVectors(200)
+	shards := vectorAddShards(sys, a, b, make([]uint32, 200), 8)
+	shards[5].Stage = func(int) error { return errors.New("staging failed") }
+	sched, err := New(sys, topo, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sched.Run(shards); err == nil {
+		t.Fatal("a failed stage did not abort the run")
+	}
+	for _, d := range sys.DPUs {
+		if n := len(d.MRAM()); n != 0 {
+			t.Fatalf("DPU %d keeps %d MRAM words after an aborted run", d.ID, n)
+		}
 	}
 }
 
