@@ -75,3 +75,32 @@ Benchmark without numbers
 		t.Fatalf("parsed %d benchmarks from noise, want 0", len(got))
 	}
 }
+
+func TestBenchGateFailsOnUnmeasuredBaselineRow(t *testing.T) {
+	base := writeTemp(t, "base.txt", `
+BenchmarkA   	       1	   1000000 ns/op
+BenchmarkB   	       1	   1000000 ns/op
+`)
+	if code := benchGate(base, writeTemp(t, "same.txt", `
+BenchmarkA   	       1	   1000000 ns/op
+BenchmarkB   	       1	   1000000 ns/op
+BenchmarkNew 	       1	   5000000 ns/op
+`), 1.25); code != 0 {
+		t.Errorf("every baseline row measured: exit %d, want 0 (a new benchmark never fails)", code)
+	}
+	if code := benchGate(base, writeTemp(t, "renamed.txt", `
+BenchmarkA        	       1	   1000000 ns/op
+BenchmarkRenamedB 	       1	   1000000 ns/op
+`), 1.25); code != 1 {
+		t.Errorf("baseline row BenchmarkB not measured: exit %d, want 1", code)
+	}
+	if code := benchGate(base, writeTemp(t, "slow.txt", `
+BenchmarkA   	       1	   2000000 ns/op
+BenchmarkB   	       1	   1000000 ns/op
+`), 1.25); code != 1 {
+		t.Errorf("2x regression: exit %d, want 1", code)
+	}
+	if code := benchGate("does-not-exist.txt", base, 1.25); code != 2 {
+		t.Errorf("missing baseline: exit %d, want 2", code)
+	}
+}

@@ -7,9 +7,9 @@
 //	hepim-bench -fig all          # every paper figure (default)
 //	hepim-bench -fig 1a           # one figure: 1a 1b 2a 2b 2c width tasklets transfers ablation
 //	hepim-bench -fig 1b -csv      # machine-readable output
-//	hepim-bench -fig dcrt         # measure host EvalMul across hebfv backends (slow: runs the schoolbook)
+//	hepim-bench -fig dcrt         # measure host EvalMul, dcrt-native vs schoolbook (slow: runs the schoolbook)
 //	hepim-bench -fig dcrt -backend dcrt-native         # restrict to one registry backend
-//	hepim-bench -fig batch        # measure batched rotations (hoisted vs serial) + decryption
+//	hepim-bench -fig batch        # measure batched rotations (hoisted vs serial) + RNS decryption
 //	hepim-bench -fig dcrt -dcrt-json BENCH_dcrt.json   # emit the tracking JSON (dcrt + batch + kernel axes)
 //	hepim-bench -kernels          # CPU features + per-kernel vector dispatch, scalar vs vector ns/op
 //

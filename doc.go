@@ -12,12 +12,12 @@
 // The public surface of the library is the hebfv package — a
 // scheme-level facade with context-managed keys, slot-level rotations,
 // versioned serialization, and pluggable evaluation backends selected
-// by name ("dcrt-native", "dcrt-legacy", "schoolbook", "pim", "auto"). Every
+// by name ("dcrt-native", "schoolbook", "pim", "auto"). Every
 // scheme-level consumer — all examples that touch BFV, cmd/hepim-bench's
-// evaluation figures, and the served front end the roadmap plans —
-// builds against hebfv only. (cmd/hepim and cmd/pimsim remain thin
-// demos of the internal wire formats and the raw PIM simulator;
-// examples/platformcompare drives only the analytic platform models.)
+// evaluation figures, and the served front end (hebfv/serve, cmd/hebfvd)
+// — builds against hebfv only. (cmd/pimsim remains a thin demo of the
+// raw PIM simulator; examples/platformcompare drives only the analytic
+// platform models.)
 //
 // Everything under internal/ is private by policy as well as by Go
 // visibility: the packages below are implementation layers whose APIs
@@ -187,7 +187,7 @@
 // (+ c2·s²) accumulates on cached NTT forms and the exact t/q rounding
 // folds to mod t per limb (internal/dcrt.ScaleRounder.RoundModT), leaving
 // no big.Int on the unmetered decrypt path either; the big.Int path
-// survives as the pinned rounding oracle (bfv.Decryptor.DecryptBigInt).
+// survives as the pinned rounding oracle (bfv.Decryptor.decryptBig).
 //
 // The O(n²) schoolbook path remains authoritative in two places: any
 // bfv.Evaluator with a limb32.Meter attached runs it, because its
@@ -352,7 +352,7 @@
 // public API lives in hebfv/, the implementation under internal/ (see
 // DESIGN.md for the map) and the runnable entry points under cmd/ and
 // examples/. Evaluation-layer performance is
-// tracked by `hepim-bench -fig dcrt -dcrt-json BENCH_dcrt.json` (v6:
+// tracked by `hepim-bench -fig dcrt -dcrt-json BENCH_dcrt.json` (v7:
 // EvalMul incl. deferred Mul chains, batched-rotation, decryption and
 // raw-kernel axes plus the SIMD dispatch table, measured through the
 // hebfv backend registry and restrictable with -backend) and gated in

@@ -216,12 +216,12 @@ func route[T any](e *autoEngine, op string, items int, run func(Engine) (T, erro
 		return runHostOp(e, op, items, run)
 	}
 	e.pimMu.Lock()
-	before := e.pimE.Breakdown().MakespanSeconds
+	_, _, _, before := e.pimE.pimReport()
 	out, err := safeOp(e.pimE, run)
-	after := e.pimE.Breakdown().MakespanSeconds
+	_, _, _, after := e.pimE.pimReport()
 	e.pimMu.Unlock()
 	if err == nil {
-		e.observePIM(op, (after-before)/float64(items))
+		e.observePIM(op, (after.MakespanSeconds-before.MakespanSeconds)/float64(items))
 		return out, nil
 	}
 	if !faultClass(err) {
@@ -306,14 +306,11 @@ func (e *autoEngine) RotateManyAll(cts []*bfv.Ciphertext, gks []*bfv.GaloisKey) 
 	return e.host.(batchApplier).RotateManyAll(cts, gks)
 }
 
-// The modeled-hardware reporting surfaces delegate to the PIM side, so
-// Context.PIMReport/PIMStats/PIMBreakdown work on auto contexts.
-
-func (e *autoEngine) KernelLaunches() int        { return e.pimE.KernelLaunches() }
-func (e *autoEngine) ModeledSeconds() float64    { return e.pimE.ModeledSeconds() }
-func (e *autoEngine) FaultStats() pim.FaultStats { return e.pimE.FaultStats() }
-
-func (e *autoEngine) Breakdown() *pimsched.Report { return e.pimE.Breakdown() }
+// pimReport delegates to the PIM side, so Context.PIMReport/PIMStats/
+// PIMBreakdown work on auto contexts.
+func (e *autoEngine) pimReport() (int, float64, pim.FaultStats, *pimsched.Report) {
+	return e.pimE.pimReport()
+}
 
 // AutoStats returns a copy of the decision surface.
 func (e *autoEngine) AutoStats() AutoStats {

@@ -19,14 +19,11 @@ import (
 // constructor (New(WithBackend(name)) for contexts, NewEngine for
 // lower-level harnesses like the benchmark suite).
 //
-// Five backends are built in:
+// Four backends are built in:
 //
 //   - "dcrt-native": the double-CRT (RNS + NTT) backend with RNS-native
 //     rescaling, NTT-resident ciphertexts, and hoisted rotations — the
 //     default and the fast path.
-//   - "dcrt-legacy": the same double-CRT backend pinned to the retained
-//     big.Int rescale/key-switch round trip — the tracked baseline the
-//     perf benchmarks compare against.
 //   - "schoolbook": the O(n²) limb schoolbook path — the paper's PIM
 //     cost model (its instruction stream is what the simulator meters)
 //     and the correctness oracle; every backend is bit-identical to it.
@@ -105,25 +102,13 @@ type batchApplier interface {
 	RotateManyAll(cts []*bfv.Ciphertext, gks []*bfv.GaloisKey) ([][]*bfv.Ciphertext, error)
 }
 
-// KernelReporter is the optional Engine upgrade for modeled-hardware
-// backends that account their kernel launches (the "pim" backend).
-type KernelReporter interface {
-	KernelLaunches() int
-	ModeledSeconds() float64
-}
-
-// faultReporter is the optional Engine upgrade for backends with a
-// fault model (the "pim" backend): accumulated injection/retry
-// counters, surfaced through Context.PIMStats.
-type faultReporter interface {
-	FaultStats() pim.FaultStats
-}
-
-// breakdownReporter is the optional Engine upgrade for backends on the
-// async execution plane: the aggregated sharded cycle/transfer/energy
-// breakdown, surfaced through Context.PIMBreakdown.
-type breakdownReporter interface {
-	Breakdown() *pimsched.Report
+// pimReporter is the optional Engine upgrade for backends on the
+// modeled PIM plane ("pim" and "auto"): accumulated kernel launches,
+// modeled kernel seconds, fault/retry counters and the sharded
+// cycle/transfer/energy breakdown in one snapshot, surfaced through
+// Context.PIMReport, PIMStats and PIMBreakdown.
+type pimReporter interface {
+	pimReport() (launches int, modeledSeconds float64, faults pim.FaultStats, bd *pimsched.Report)
 }
 
 // Config carries everything a backend needs to construct its engine.
@@ -224,11 +209,6 @@ func (b backendFunc) New(cfg Config) (Engine, error) { return b.mk(cfg) }
 func init() {
 	RegisterBackend(backendFunc{"dcrt-native", func(cfg Config) (Engine, error) {
 		return newEvalEngine(bfv.NewEvaluator(cfg.Params, cfg.Relin)), nil
-	}})
-	RegisterBackend(backendFunc{"dcrt-legacy", func(cfg Config) (Engine, error) {
-		ev := bfv.NewEvaluator(cfg.Params, cfg.Relin)
-		ev.SetBigIntRescale(true)
-		return newEvalEngine(ev), nil
 	}})
 	RegisterBackend(backendFunc{"schoolbook", func(cfg Config) (Engine, error) {
 		return newEvalEngine(bfv.NewSchoolbookEvaluator(cfg.Params, cfg.Relin)), nil
@@ -475,26 +455,8 @@ func (e *pimEngine) AddMany(as, bs []*bfv.Ciphertext) ([]*bfv.Ciphertext, error)
 	return e.srv.AddMany(as, bs)
 }
 
-func (e *pimEngine) KernelLaunches() int {
+func (e *pimEngine) pimReport() (int, float64, pim.FaultStats, *pimsched.Report) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.srv.Runs()
-}
-
-func (e *pimEngine) ModeledSeconds() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.srv.ModeledSeconds()
-}
-
-func (e *pimEngine) FaultStats() pim.FaultStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.srv.Sys.FaultStats()
-}
-
-func (e *pimEngine) Breakdown() *pimsched.Report {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.srv.Breakdown()
+	return e.srv.Runs(), e.srv.ModeledSeconds(), e.srv.Sys.FaultStats(), e.srv.Breakdown()
 }

@@ -320,11 +320,12 @@ func (c *Context) String() string {
 // kernel seconds of a modeled-hardware backend; ok is false when the
 // selected backend does not model hardware (everything but "pim").
 func (c *Context) PIMReport() (launches int, modeledSeconds float64, ok bool) {
-	kr, isKR := c.eng.(KernelReporter)
-	if !isKR {
+	r, isR := c.eng.(pimReporter)
+	if !isR {
 		return 0, 0, false
 	}
-	return kr.KernelLaunches(), kr.ModeledSeconds(), true
+	launches, modeledSeconds, _, _ = r.pimReport()
+	return launches, modeledSeconds, true
 }
 
 // PIMStats holds the accumulated fault-model counters of the "pim"
@@ -343,11 +344,11 @@ type PIMStats struct {
 // (everything but "pim"). All-zero counters with ok true mean no faults
 // were injected — the normal case without WithPIMFaultInjection.
 func (c *Context) PIMStats() (stats PIMStats, ok bool) {
-	fr, isFR := c.eng.(faultReporter)
-	if !isFR {
+	r, isR := c.eng.(pimReporter)
+	if !isR {
 		return PIMStats{}, false
 	}
-	fs := fr.FaultStats()
+	_, _, fs, _ := r.pimReport()
 	return PIMStats{
 		TransientFaults: fs.TransientFaults,
 		DeadDPUs:        fs.DeadDPUs,
@@ -393,11 +394,11 @@ type PIMBreakdown struct {
 // backends. All-zero fields with ok true mean no operation has reached
 // the PIM plane yet.
 func (c *Context) PIMBreakdown() (bd PIMBreakdown, ok bool) {
-	br, isBR := c.eng.(breakdownReporter)
-	if !isBR {
+	r, isR := c.eng.(pimReporter)
+	if !isR {
 		return PIMBreakdown{}, false
 	}
-	rep := br.Breakdown()
+	_, _, _, rep := r.pimReport()
 	if rep == nil {
 		return PIMBreakdown{}, false
 	}

@@ -126,15 +126,15 @@
 // # Backends
 //
 // Evaluation strategy is pluggable and selected by name (WithBackend):
-// "dcrt-native" (default, the RNS+NTT fast path), "dcrt-legacy" (the
-// retained big.Int rescale baseline), "schoolbook" (the O(n²) path that
-// is the paper's PIM cost model and the correctness oracle), and "pim"
-// (the simulated UPMEM server; Context.PIMReport exposes its modeled
-// kernel time). On "pim" a batched op is one kernel launch set: AddMany
-// adds every pair, and Sum reduces every component, in a single
-// scheduler run sharded over all DPUs, as the paper's Fig. 1a vector
-// addition is one batched launch. PIMReport counts these runs. All
-// backends are mutually bit-identical — the
+// "dcrt-native" (default, the RNS+NTT fast path), "schoolbook" (the
+// O(n²) path that is the paper's PIM cost model and the correctness
+// oracle), "pim" (the simulated UPMEM server; Context.PIMReport exposes
+// its modeled kernel time), and "auto" (routes each batched op to the
+// host or the PIM side by cost estimate). On "pim" a batched op is one
+// kernel launch set: AddMany adds every pair, and Sum reduces every
+// component, in a single scheduler run sharded over all DPUs, as the
+// paper's Fig. 1a vector addition is one batched launch. PIMReport
+// counts these runs. All backends are mutually bit-identical — the
 // differential tests in this package prove it across the facade,
 // RotateRows/InnerSum slot semantics included. The Backend/Engine
 // registry (RegisterBackend, NewEngine) is the mount point for new

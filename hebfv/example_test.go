@@ -130,6 +130,6 @@ func ExampleWithBackend() {
 	launches, _, _ := ctx.PIMReport()
 	fmt.Println("20 + 22 =", v, "in", launches, "kernel launch(es)")
 	// Output:
-	// [auto dcrt-legacy dcrt-native pim schoolbook]
+	// [auto dcrt-native pim schoolbook]
 	// 20 + 22 = 42 in 1 kernel launch(es)
 }

@@ -221,33 +221,11 @@ func (e *failoverEngine) MulManyNTT(as, bs []bfv.MulOperand) ([]*bfv.ProductNTT,
 	return dm.MulManyNTT(as, bs)
 }
 
-// KernelReporter delegates to the primary: modeled-hardware accounting
+// pimReport delegates to the primary: modeled-hardware accounting
 // belongs to the modeled hardware even after its retirement.
-
-func (e *failoverEngine) KernelLaunches() int {
-	if kr, ok := e.primary.(KernelReporter); ok {
-		return kr.KernelLaunches()
+func (e *failoverEngine) pimReport() (int, float64, pim.FaultStats, *pimsched.Report) {
+	if r, ok := e.primary.(pimReporter); ok {
+		return r.pimReport()
 	}
-	return 0
-}
-
-func (e *failoverEngine) ModeledSeconds() float64 {
-	if kr, ok := e.primary.(KernelReporter); ok {
-		return kr.ModeledSeconds()
-	}
-	return 0
-}
-
-func (e *failoverEngine) FaultStats() pim.FaultStats {
-	if fr, ok := e.primary.(faultReporter); ok {
-		return fr.FaultStats()
-	}
-	return pim.FaultStats{}
-}
-
-func (e *failoverEngine) Breakdown() *pimsched.Report {
-	if br, ok := e.primary.(breakdownReporter); ok {
-		return br.Breakdown()
-	}
-	return nil
+	return 0, 0, pim.FaultStats{}, nil
 }

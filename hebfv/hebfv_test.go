@@ -282,7 +282,7 @@ func TestFacadeDifferentialBackends(t *testing.T) {
 	}
 
 	want := run(t, "dcrt-native")
-	for _, backend := range []string{"schoolbook", "dcrt-legacy", "pim"} {
+	for _, backend := range []string{"schoolbook", "pim", "auto"} {
 		got := run(t, backend)
 		pairs := []struct {
 			name       string

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/hebfv"
@@ -46,6 +47,11 @@ import (
 // regression in either tier, or a host silently falling back to
 // scalar, is visible in the tracked JSON rather than only in wall
 // times.
+//
+// v7 drops the rows of the retired big.Int baseline: the "dcrt-legacy"
+// evalmul rows, the "decrypt-bigint" row and the speedup_vs_legacy
+// field. Earlier schemas stay readable as history (the committed
+// BENCH_dcrt.json is v6).
 
 // DCRTPoint is one measured backend × ring-degree × depth combination.
 // NsPerOp is the time of one full depth-long chain of relinearized
@@ -55,15 +61,14 @@ import (
 type DCRTPoint struct {
 	N           int     `json:"n"`
 	QBits       int     `json:"q_bits"`
-	Backend     string  `json:"backend"`      // evalmul: registry name or "dcrt-native-deferred"; rotate: "galois-serial"|"galois-hoisted"|"galois-hoisted-ntt"; decrypt: "decrypt-bigint"|"decrypt-rns"; kernel: primitive name
+	Backend     string  `json:"backend"`      // evalmul: registry name or "dcrt-native-deferred"; rotate: "galois-serial"|"galois-hoisted"|"galois-hoisted-ntt"; decrypt: "decrypt-rns"; kernel: primitive name
 	Op          string  `json:"op,omitempty"` // "" (evalmul) | "rotate" | "rotate-sum" | "decrypt" | "kernel"
 	Depth       int     `json:"depth,omitempty"`
 	Rotations   int     `json:"rotations,omitempty"` // rotate rows: Galois-element count k
 	Iters       int     `json:"iters"`
 	NsPerOp     int64   `json:"ns_per_op"`
 	SpeedupX    float64 `json:"speedup_vs_schoolbook,omitempty"` // dcrt rows, depth 1
-	SpeedupBigX float64 `json:"speedup_vs_legacy,omitempty"`     // dcrt-native rows
-	SpeedupSerX float64 `json:"speedup_vs_serial,omitempty"`     // hoisted/rns rows vs their serial/bigint pair
+	SpeedupSerX float64 `json:"speedup_vs_serial,omitempty"`     // hoisted/deferred rows vs their serial/materialized pair
 }
 
 // KernelDispatchRow is one kernel's live dispatch decision plus its
@@ -100,7 +105,7 @@ type DCRTReport struct {
 
 // evalMulBackends is the tracked backend set of the evalmul axis when
 // no -backend restriction is given.
-var evalMulBackends = []string{"schoolbook", "dcrt-legacy", "dcrt-native"}
+var evalMulBackends = []string{"schoolbook", "dcrt-native"}
 
 // measureEvalMul times one depth-long chain of relinearized homomorphic
 // multiplications on the named registry backend. Setup (keygen,
@@ -379,11 +384,10 @@ func MeasureKernelDispatch(n int) (*DispatchInfo, error) {
 }
 
 // MeasureDCRT measures EvalMul at depth 1 on the given registry
-// backends (all three tracked backends when the list is empty) for the
-// given ring degrees, plus chained depth-3 and depth-5 runs of the
-// double-CRT backends at the largest degree (with a deferred-pipeline
-// row alongside each dcrt-native chain row), and returns the tracking
-// figure plus the JSON report.
+// backends (both tracked backends when the list is empty) for the given
+// ring degrees, plus chained depth-3 and depth-5 runs of dcrt-native at
+// the largest degree (with a deferred-pipeline row alongside each chain
+// row), and returns the tracking figure plus the JSON report.
 func MeasureDCRT(degrees []int, backendNames []string) (*Figure, *DCRTReport, error) {
 	if len(backendNames) == 0 {
 		backendNames = evalMulBackends
@@ -397,7 +401,7 @@ func MeasureDCRT(degrees []int, backendNames []string) (*Figure, *DCRTReport, er
 			"PIM kernels defer; this repo's host path now has it, rescale included",
 	}
 	rep := &DCRTReport{
-		Schema:      "repro/dcrt-evalmul/v6",
+		Schema:      "repro/dcrt-evalmul/v7",
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		Op:          "EvalMul chain (tensor + relinearize per level); ns_per_op is per chain",
@@ -419,9 +423,6 @@ func MeasureDCRT(degrees []int, backendNames []string) (*Figure, *DCRTReport, er
 				}
 			}
 		}
-		if lg, nat := pts["dcrt-legacy"], pts["dcrt-native"]; lg != nil && nat != nil {
-			nat.SpeedupBigX = float64(lg.NsPerOp) / float64(nat.NsPerOp)
-		}
 		row := Row{Label: fmt.Sprintf("n=%d depth=1", n), Seconds: map[string]float64{}}
 		for _, name := range backendNames {
 			p := pts[name]
@@ -436,65 +437,46 @@ func MeasureDCRT(degrees []int, backendNames []string) (*Figure, *DCRTReport, er
 	if len(degrees) == 0 {
 		return fig, rep, nil
 	}
-	// Depth chains: only meaningful for the double-CRT backends.
-	var depthBackends []string
-	for _, name := range backendNames {
-		if name == "dcrt-legacy" || name == "dcrt-native" {
-			depthBackends = append(depthBackends, name)
-		}
-	}
+	// Depth chains: only meaningful for the double-CRT backend, each
+	// paired with the NTT-resident Mul-chain row (deferred handles
+	// between levels, one materialization at the end).
 	nMax := degrees[len(degrees)-1]
-	trackNative := false
-	for _, name := range depthBackends {
-		if name == "dcrt-native" {
-			trackNative = true
-		}
-	}
-	for _, depth := range []int{1, 3, 5} {
-		pts := map[string]*DCRTPoint{}
-		row := Row{Label: fmt.Sprintf("n=%d depth=%d", nMax, depth), Seconds: map[string]float64{}}
-		if depth > 1 {
-			for _, name := range depthBackends {
-				p, err := measureEvalMul(nMax, depth, name)
+	if slices.Contains(backendNames, "dcrt-native") {
+		for _, depth := range []int{1, 3, 5} {
+			var natNs int64
+			if depth == 1 {
+				// Depth-1 native was measured in the per-degree sweep.
+				for _, p := range rep.Points {
+					if p.N == nMax && p.Backend == "dcrt-native" && p.Depth == 1 && p.Op == "" {
+						natNs = p.NsPerOp
+					}
+				}
+			} else {
+				nat, err := measureEvalMul(nMax, depth, "dcrt-native")
 				if err != nil {
 					return nil, nil, err
 				}
-				pts[name] = &p
+				natNs = nat.NsPerOp
+				rep.Points = append(rep.Points, nat)
 			}
-			if lg, nat := pts["dcrt-legacy"], pts["dcrt-native"]; lg != nil && nat != nil {
-				nat.SpeedupBigX = float64(lg.NsPerOp) / float64(nat.NsPerOp)
-				row.Annotation = fmt.Sprintf("%.1fx vs legacy", nat.SpeedupBigX)
-			}
-			for _, name := range depthBackends {
-				row.Seconds[name] = float64(pts[name].NsPerOp) / 1e9
-				rep.Points = append(rep.Points, *pts[name])
-			}
-		}
-		if trackNative {
-			// The NTT-resident Mul-chain row: deferred handles between
-			// levels, one materialization at the end.
 			def, err := measureMulChainDeferred(nMax, depth)
 			if err != nil {
 				return nil, nil, err
 			}
-			nat := pts["dcrt-native"]
-			if nat == nil && depth == 1 {
-				// Depth-1 native was measured in the per-degree sweep.
-				for i := range rep.Points {
-					p := &rep.Points[i]
-					if p.N == nMax && p.Backend == "dcrt-native" && p.Depth == 1 && p.Op == "" {
-						nat = p
-					}
-				}
+			if natNs > 0 {
+				def.SpeedupSerX = float64(natNs) / float64(def.NsPerOp)
 			}
-			if nat != nil {
-				def.SpeedupSerX = float64(nat.NsPerOp) / float64(def.NsPerOp)
-			}
-			row.Seconds["dcrt-native-deferred"] = float64(def.NsPerOp) / 1e9
 			rep.Points = append(rep.Points, def)
-		}
-		if len(row.Seconds) > 0 && depth > 1 {
-			fig.Rows = append(fig.Rows, row)
+			if depth > 1 {
+				fig.Rows = append(fig.Rows, Row{
+					Label: fmt.Sprintf("n=%d depth=%d", nMax, depth),
+					Seconds: map[string]float64{
+						"dcrt-native":          float64(natNs) / 1e9,
+						"dcrt-native-deferred": float64(def.NsPerOp) / 1e9,
+					},
+					Annotation: fmt.Sprintf("%.1fx deferred", def.SpeedupSerX),
+				})
+			}
 		}
 	}
 	if kpts, err := MeasureKernels(nMax); err == nil {
@@ -582,8 +564,8 @@ func timeOp(fn func() error, single bool) (int, int64, error) {
 // k Galois elements on the named registry backend (dcrt-native when
 // empty): per-output rotation (serial vs hoisted vs hoisted with
 // NTT-resident outputs) and the rotate-and-sum workload (serial fold vs
-// hoisted fused reduction), plus the decryption pair. It returns the
-// tracking figure and the v4 points.
+// hoisted fused reduction), plus the RNS-native decryption row. It
+// returns the tracking figure and the points.
 func MeasureBatch(n, k int, backend string) (*Figure, []DCRTPoint, error) {
 	if backend == "" {
 		backend = "dcrt-native"
@@ -693,23 +675,14 @@ func MeasureBatch(n, k int, backend string) (*Figure, []DCRTPoint, error) {
 		map[string]*DCRTPoint{"Serial": serialSum, "Hoisted": hoistedSum},
 		fmt.Sprintf("%.1fx hoisted", hoistedSum.SpeedupSerX))
 
-	// Decryption pair: RNS-native Decrypt vs the retained big.Int oracle,
-	// on the same degree-1 ciphertext (backend-independent).
+	// Decryption: RNS-native Decrypt of a degree-1 ciphertext
+	// (backend-independent).
 	src := sampling.NewSourceFromUint64(uint64(n))
 	kg := bfv.NewKeyGenerator(params, src)
 	sk, pk := kg.GenKeyPair()
 	enc := bfv.NewEncryptor(params, pk, src)
 	dec := bfv.NewDecryptor(params, sk)
 	ct, err := enc.EncryptValue(7)
-	if err != nil {
-		return nil, nil, err
-	}
-	decBig, err := measure("decrypt", "decrypt-bigint", 0, func() error {
-		if dec.DecryptBigInt(ct).Coeffs[0] != 7 {
-			return fmt.Errorf("bench: big.Int decrypt failed")
-		}
-		return nil
-	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -722,10 +695,7 @@ func MeasureBatch(n, k int, backend string) (*Figure, []DCRTPoint, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	decRNS.SpeedupSerX = float64(decBig.NsPerOp) / float64(decRNS.NsPerOp)
-	row(fmt.Sprintf("n=%d decrypt", n),
-		map[string]*DCRTPoint{"Serial": decBig, "Hoisted": decRNS},
-		fmt.Sprintf("%.1fx rns", decRNS.SpeedupSerX))
+	row(fmt.Sprintf("n=%d decrypt", n), map[string]*DCRTPoint{"Hoisted": decRNS}, "rns")
 
 	points := make([]DCRTPoint, len(collected))
 	for i, p := range collected {

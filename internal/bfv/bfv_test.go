@@ -1,6 +1,7 @@
 package bfv
 
 import (
+	"math/big"
 	"testing"
 
 	"repro/internal/sampling"
@@ -50,6 +51,29 @@ func TestParamsValidation(t *testing.T) {
 	}
 	if _, err := NewParameters(64, q, 16, 40); err == nil {
 		t.Error("relin base 40 accepted")
+	}
+	// Moduli outside the RNS-native window: even, 63- and 64-bit, and
+	// above 124 bits.
+	q125 := new(big.Int).Lsh(big.NewInt(1), 124)
+	q125.Add(q125, big.NewInt(1))
+	for _, qs := range []string{
+		"1152921504606846882", "9223372036854775783", "18446744073709551557", q125.String(),
+	} {
+		bad, _ := new(big.Int).SetString(qs, 10)
+		if _, err := NewParameters(64, bad, 16, 20); err == nil {
+			t.Errorf("q=%s (%d bits) outside the RNS-native window accepted", qs, bad.BitLen())
+		}
+	}
+	// Every preset and the swept Sec54 degrees stay inside it.
+	for _, build := range []func() *Parameters{ParamsToy, ParamsSec27, ParamsSec54, ParamsSec109, ParamsBatching} {
+		if p := build(); p.dcrt == nil || !p.dcrt.RNSNative() {
+			t.Errorf("%v: no RNS-native context", p)
+		}
+	}
+	for n := 64; n <= 4096; n *= 2 {
+		if p := ParamsSec54AtDegree(n); p.dcrt == nil || !p.dcrt.RNSNative() {
+			t.Errorf("%v: no RNS-native context", p)
+		}
 	}
 }
 

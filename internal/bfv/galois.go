@@ -110,17 +110,11 @@ func (ev *Evaluator) ApplyGalois(ct *Ciphertext, gk *GaloisKey) (*Ciphertext, er
 	c0 := applyGaloisPoly(ct.Polys[0], gk.G, par.Q, ev.Meter)
 
 	if ev.useDCRT() {
-		ctx := dcrtFor(par)
-		k0, k1 := gk.forms.get(ctx, gk.K0, gk.K1)
-		var s0, outC1 *poly.Poly
-		if ev.useRNSNative() {
-			digits := relinDigits(ctx, par, ct.Polys[1], len(k0))
-			s0, outC1 = galoisKeySwitch(ctx, digits, gk)
-			for _, d := range digits {
-				ctx.PutScratch(d)
-			}
-		} else {
-			s0, outC1 = keySwitchAccLegacy(ctx, permuteDigits(decomposePoly(ct.Polys[1], par), gk.G, par, nil), k0, k1)
+		ctx := par.dcrt
+		digits := relinDigits(ctx, par, ct.Polys[1], len(gk.K0))
+		s0, outC1 := galoisKeySwitch(ctx, digits, gk)
+		for _, d := range digits {
+			ctx.PutScratch(d)
 		}
 		poly.Add(c0, c0, s0, par.Q, nil)
 		return &Ciphertext{Polys: []*poly.Poly{c0, outC1}}, nil
@@ -160,11 +154,11 @@ func galoisKeySwitch(ctx *dcrt.Context, digits []*dcrt.Poly, gk *GaloisKey) (s0,
 
 // permuteDigits applies τ_g to each digit polynomial — the coefficient-
 // domain form of the decompose-then-permute convention, used by the
-// schoolbook (metered) and legacy big.Int paths. Negated coefficients
-// become q−v; the double-CRT paths' centered lift maps them back to the
-// small integers −v, so all backends agree mod q. The metered path
-// charges one permutation per digit: that is the data movement this
-// convention really costs a hoisting-capable kernel.
+// schoolbook (metered) path. Negated coefficients become q−v; the
+// double-CRT path applies τ_g as an NTT-slot gather, which yields the
+// small integers −v directly, so all backends agree mod q. The metered
+// path charges one permutation per digit: that is the data movement
+// this convention really costs a hoisting-capable kernel.
 func permuteDigits(digits []*poly.Poly, g uint64, par *Parameters, m limb32.Meter) []*poly.Poly {
 	out := make([]*poly.Poly, len(digits))
 	for i, d := range digits {

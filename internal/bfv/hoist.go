@@ -41,16 +41,16 @@ type Hoisted struct {
 
 // Hoist decomposes ct's c1 component into double-CRT digit form, shared
 // by all subsequent ApplyGaloisHoisted calls. On backends that cannot
-// hoist (schoolbook/metered evaluators, or non-RNS-native moduli) the
-// returned handle transparently falls back to per-rotation ApplyGalois —
-// results are bit-identical either way.
+// hoist (schoolbook/metered evaluators) the returned handle
+// transparently falls back to per-rotation ApplyGalois — results are
+// bit-identical either way.
 func (ev *Evaluator) Hoist(ct *Ciphertext) (*Hoisted, error) {
 	if ct.Degree() != 1 {
 		return nil, errors.New("bfv: Hoist requires a degree-1 ciphertext")
 	}
 	h := &Hoisted{ct: ct}
-	if ev.useRNSNative() {
-		h.ctx = dcrtFor(ev.params)
+	if ev.useDCRT() {
+		h.ctx = ev.params.dcrt
 		h.decompose(ev.params)
 	}
 	return h, nil
@@ -108,7 +108,7 @@ func (ev *Evaluator) ApplyGaloisHoisted(h *Hoisted, gk *GaloisKey) (*Ciphertext,
 	if gk == nil {
 		return nil, errors.New("bfv: nil Galois key")
 	}
-	if h.ctx == nil || !ev.useRNSNative() {
+	if h.ctx == nil || !ev.useDCRT() {
 		return ev.ApplyGalois(h.ct, gk)
 	}
 	par := ev.params

@@ -169,7 +169,7 @@ func (r *ProductNTT) freeLocked() {
 // materializes. Capability queries gate on this instead of assuming
 // deferral happened.
 func (ev *Evaluator) CanDeferMuls() bool {
-	return ev.useRNSNative() && ev.rlk != nil && mulMagBits(ev.params)+1 < dcrtFor(ev.params).BoundBits
+	return ev.useDCRT() && ev.rlk != nil && mulMagBits(ev.params)+1 < ev.params.dcrt.BoundBits
 }
 
 // CanDeferMuls reports the wrapped evaluator's deferral capability.
@@ -214,7 +214,7 @@ func (ev *Evaluator) MulNTT(a, b MulOperand) (*ProductNTT, error) {
 	}
 	res0, res1 := ev.mulDeferred(a, b)
 	return &ProductNTT{
-		par: ev.params, ctx: dcrtFor(ev.params),
+		par: ev.params, ctx: ev.params.dcrt,
 		seq:  productSeq.Add(1),
 		res0: res0, res1: res1,
 		magBits: mulMagBits(ev.params),
@@ -227,7 +227,7 @@ func (ev *Evaluator) MulNTT(a, b MulOperand) (*ProductNTT, error) {
 // CanDeferMuls.
 func (ev *Evaluator) mulDeferred(a, b MulOperand) (res0, res1 *dcrt.Poly) {
 	par := ev.params
-	ctx := dcrtFor(par)
+	ctx := par.dcrt
 	ra0 := a.tensorOperand(ctx, 0)
 	ra1 := a.tensorOperand(ctx, 1)
 	// Repeat multiplicands (chained products against one operand, shared

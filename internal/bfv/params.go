@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"sync"
 
 	"repro/internal/dcrt"
 	"repro/internal/poly"
@@ -33,14 +32,13 @@ type Parameters struct {
 
 	relinDigits int // ⌈bits(Q)/RelinBaseBits⌉
 
-	// Memoized double-CRT context (see dcrtFor): looked up once instead
-	// of hashing the modulus string on every evaluator operation.
-	dcrtOnce sync.Once
-	dcrtCtx  *dcrt.Context
-	dcrtSubK int // sub-basis length for key-switching accumulators (dcrtFor)
+	dcrt     *dcrt.Context // shared double-CRT context (see newDCRT)
+	dcrtSubK int           // sub-basis length for key-switching accumulators
 }
 
-// NewParameters validates and assembles a parameter set.
+// NewParameters validates and assembles a parameter set. Every accepted
+// set evaluates RNS-natively: q must be odd, outside the 63–64-bit band
+// and at most 124 bits, the window of the word-sized base conversion.
 func NewParameters(n int, q *big.Int, t uint64, relinBaseBits uint) (*Parameters, error) {
 	if n <= 1 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("bfv: N=%d must be a power of two > 1", n)
@@ -60,14 +58,18 @@ func NewParameters(n int, q *big.Int, t uint64, relinBaseBits uint) (*Parameters
 	}
 	delta := new(big.Int).Div(q, new(big.Int).SetUint64(t))
 	digits := (q.BitLen() + int(relinBaseBits) - 1) / int(relinBaseBits)
-	return &Parameters{
+	p := &Parameters{
 		N:             n,
 		Q:             mod,
 		T:             t,
 		Delta:         delta,
 		RelinBaseBits: relinBaseBits,
 		relinDigits:   digits,
-	}, nil
+	}
+	if err := p.newDCRT(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // The paper's moduli: the largest primes below 2^27, 2^54 and 2^109.

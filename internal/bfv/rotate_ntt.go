@@ -60,7 +60,7 @@ func rotatedMagBits(par *Parameters) int {
 // backend defers base conversions; other backends' RotateManyNTT
 // transparently materializes. Capability queries (the bench harness,
 // the facade) gate on this instead of assuming deferral happened.
-func (ev *Evaluator) CanDeferRotations() bool { return ev.useRNSNative() }
+func (ev *Evaluator) CanDeferRotations() bool { return ev.useDCRT() }
 
 // CanDeferRotations reports the wrapped evaluator's deferral capability.
 func (be *BatchEvaluator) CanDeferRotations() bool { return be.ev.CanDeferRotations() }
@@ -75,7 +75,7 @@ func (ev *Evaluator) ApplyGaloisHoistedNTT(h *Hoisted, gk *GaloisKey) (*RotatedN
 	if gk == nil {
 		return nil, errors.New("bfv: nil Galois key")
 	}
-	if h.ctx == nil || !ev.useRNSNative() {
+	if h.ctx == nil || !ev.useDCRT() {
 		ct, err := ev.ApplyGaloisHoisted(h, gk)
 		if err != nil {
 			return nil, err

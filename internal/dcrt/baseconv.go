@@ -104,8 +104,9 @@ func newConvState(c *Context) *convState {
 }
 
 // RNSNative reports whether this context can leave the RNS domain
-// through the word-sized fast base conversion. When false, FromRNS and
-// the bfv evaluator transparently use big.Int CRT recombination instead.
+// through the word-sized fast base conversion. When false, FromRNS
+// uses big.Int CRT recombination instead; bfv.NewParameters rejects
+// such moduli.
 func (c *Context) RNSNative() bool { return c.conv != nil }
 
 // convModQ converts a residue-domain element (representing exact integer

@@ -6,9 +6,9 @@
 // ring multiplication is a pointwise O(n) pass per limb and the
 // transforms cost O(n log n).
 //
-// Unlike package sealbfv — which models SEAL by *replacing* the
-// coefficient modulus with an RNS modulus — this package keeps the
-// paper's exact prime moduli q (27/54/109-bit): the basis is an
+// Unlike SEAL — which *replaces* the coefficient modulus with an RNS
+// modulus — this package keeps the paper's exact prime moduli q
+// (27/54/109-bit): the basis is an
 // *extended* basis whose product Q' is sized so that the exact integer
 // (negacyclic) products never wrap, and results are CRT-recombined and
 // reduced mod q, bit-identical to the schoolbook path. That makes the
@@ -323,9 +323,9 @@ func (c *Context) FromResidues(p *Poly) *poly.Poly {
 }
 
 // FromRNSRecombine is FromRNS through per-coefficient big.Int CRT
-// recombination — the PR-1 evaluation path, kept as the fallback for
-// modulus shapes the word-sized conversion rejects and as the baseline
-// the perf-tracking benchmarks compare against.
+// recombination — the fallback for modulus shapes the word-sized
+// conversion rejects (contexts built directly; bfv.NewParameters never
+// admits such a modulus).
 func (c *Context) FromRNSRecombine(p *Poly) *poly.Poly {
 	tmp := c.intt(p)
 	defer c.PutScratch(tmp)
