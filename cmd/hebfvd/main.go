@@ -35,6 +35,26 @@ import (
 	"repro/hebfv/serve"
 )
 
+// Connection timeouts. A client must finish its request headers within
+// readHeaderTimeout, and an idle keep-alive connection is closed after
+// idleTimeout, so a client trickling headers or parking connections
+// cannot hold them forever. ReadTimeout and WriteTimeout stay unset:
+// key-set bodies and responses stream and may legitimately take long.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the daemon's HTTP server for addr and h.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	addr := flag.String("addr", ":8443", "listen address")
 	sec := flag.Int("sec", 109, "security preset: 27, 54 or 109 bits")
@@ -67,7 +87,7 @@ func main() {
 		TenantInflight: *tenantInflight,
 		TotalInflight:  *totalInflight,
 	})
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := newHTTPServer(*addr, srv.Handler())
 
 	// Graceful shutdown: stop accepting, drain in-flight evaluations.
 	done := make(chan struct{})

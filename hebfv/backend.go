@@ -284,17 +284,9 @@ func (e *evalEngine) Sum(cts []*bfv.Ciphertext) (*bfv.Ciphertext, error) {
 	if len(cts) == 0 {
 		return nil, errors.New("hebfv: empty sum")
 	}
-	if len(cts) == 1 {
-		// Engine outputs never alias inputs: a single-element sum must
-		// not hand the caller's ciphertext back (the facade may recycle
-		// an input's backings after the call).
-		return cts[0].Clone(), nil
-	}
-	acc := cts[0]
-	for _, ct := range cts[1:] {
-		acc = e.ev.Add(acc, ct)
-	}
-	return acc, nil
+	// Engine outputs never alias inputs (the facade may recycle an
+	// input's backings after the call); bfv's Sum allocates its output.
+	return e.ev.Sum(cts), nil
 }
 
 func (e *evalEngine) ApplyGalois(a *bfv.Ciphertext, gk *bfv.GaloisKey) (*bfv.Ciphertext, error) {

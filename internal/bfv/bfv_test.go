@@ -358,3 +358,54 @@ func TestEvaluatorMeterCharges(t *testing.T) {
 		t.Errorf("Mul (%d ops) should dwarf Add (%d ops)", m.Total(), addOps)
 	}
 }
+
+// TestSumMatchesPairwiseFold: the in-place Sum equals the pairwise Add
+// fold bit for bit — across a degree change mid-fold — charges the Meter
+// the same ticks, and leaves its inputs untouched.
+func TestSumMatchesPairwiseFold(t *testing.T) {
+	c := newCtx(t, ParamsToy(), 23, true)
+	var cts []*Ciphertext
+	for v := uint64(0); v < 6; v++ {
+		ct, err := c.enc.EncryptValue(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cts = append(cts, ct)
+	}
+	deg2, err := c.eval.MulNoRelin(cts[1], cts[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts = append(cts[:3], append([]*Ciphertext{deg2}, cts[3:]...)...)
+	before := make([]*Ciphertext, len(cts))
+	for i, ct := range cts {
+		before[i] = ct.Clone()
+	}
+	for n := 1; n <= len(cts); n++ {
+		var pairwise, inPlace limbCounts
+		c.eval.Meter = &pairwise
+		want := cts[0].Clone()
+		for _, ct := range cts[1:n] {
+			want = c.eval.Add(want, ct)
+		}
+		c.eval.Meter = &inPlace
+		got := c.eval.Sum(cts[:n])
+		c.eval.Meter = nil
+		if !got.Equal(want) {
+			t.Fatalf("Sum of %d differs from the pairwise fold", n)
+		}
+		if inPlace != pairwise {
+			t.Errorf("Sum of %d charged %+v, pairwise fold %+v", n, inPlace, pairwise)
+		}
+		for i, ct := range cts {
+			if !ct.Equal(before[i]) {
+				t.Fatalf("Sum of %d modified input %d", n, i)
+			}
+			for j, p := range got.Polys {
+				if j < len(ct.Polys) && p == ct.Polys[j] {
+					t.Fatalf("Sum of %d aliases input %d", n, i)
+				}
+			}
+		}
+	}
+}

@@ -109,9 +109,8 @@ func BenchmarkEvalMulDepth5(b *testing.B) { benchmarkDepthRNS(b, 5) }
 // NTT-resident pipeline: every level consumes the previous level's
 // deferred handle and only the final result materializes — coefficients
 // are packed once per chain instead of once per level.
-func benchmarkMulChainDeferred(b *testing.B, n, depth int) {
-	params := ParamsSec54AtDegree(n)
-	src := sampling.NewSourceFromUint64(uint64(n + depth))
+func benchmarkMulChainDeferred(b *testing.B, params *Parameters, depth int) {
+	src := sampling.NewSourceFromUint64(uint64(params.N + depth))
 	kg := NewKeyGenerator(params, src)
 	sk, pk := kg.GenKeyPair()
 	rlk := kg.GenRelinKey(sk)
@@ -152,8 +151,20 @@ func benchmarkMulChainDeferred(b *testing.B, n, depth int) {
 	}
 }
 
-func BenchmarkMulChainDeferred1(b *testing.B) { benchmarkMulChainDeferred(b, 4096, 1) }
-func BenchmarkMulChainDeferred3(b *testing.B) { benchmarkMulChainDeferred(b, 4096, 3) }
+func BenchmarkMulChainDeferred1(b *testing.B) {
+	benchmarkMulChainDeferred(b, ParamsSec54AtDegree(4096), 1)
+}
+
+func BenchmarkMulChainDeferred3(b *testing.B) {
+	benchmarkMulChainDeferred(b, ParamsSec54AtDegree(4096), 3)
+}
+
+// BenchmarkMulChainDeferredSec109 is the depth-1 chain at the parameters
+// hebfvd serves (n = 4096, 109-bit q), whose conversions take the
+// two-word mod-q path.
+func BenchmarkMulChainDeferredSec109(b *testing.B) {
+	benchmarkMulChainDeferred(b, ParamsSec109(), 1)
+}
 
 // BenchmarkMulManySum measures the dot-product reduction Σᵢ aᵢ·bᵢ over 8
 // pairs, materialized (MulMany + Add fold) vs deferred (MulManyNTT + RNS

@@ -96,6 +96,35 @@ func (ev *Evaluator) Add(ct0, ct1 *Ciphertext) *Ciphertext {
 	return out
 }
 
+// Sum returns cts[0] + cts[1] + … folded in slice order, bit-identical
+// to the pairwise Add fold and charging the Meter the same ticks. The
+// output is allocated once by the first Add — it never aliases an input
+// — and every later step adds into it in place. cts must be non-empty.
+func (ev *Evaluator) Sum(cts []*Ciphertext) *Ciphertext {
+	if len(cts) == 1 {
+		return cts[0].Clone()
+	}
+	acc := ev.Add(cts[0], cts[1])
+	for _, ct := range cts[2:] {
+		ev.addInPlace(acc, ct)
+	}
+	return acc
+}
+
+// addInPlace sets acc = acc + ct. acc must own its polynomials (no
+// sharing with ct or any caller-held ciphertext); components ct has
+// beyond acc's degree are cloned in, as Add does.
+func (ev *Evaluator) addInPlace(acc, ct *Ciphertext) {
+	par := ev.params
+	for i, p := range ct.Polys {
+		if i >= len(acc.Polys) {
+			acc.Polys = append(acc.Polys, p.Clone())
+			continue
+		}
+		poly.Add(acc.Polys[i], acc.Polys[i], p, par.Q, ev.Meter)
+	}
+}
+
 // Sub returns ct0 - ct1.
 func (ev *Evaluator) Sub(ct0, ct1 *Ciphertext) *Ciphertext {
 	return ev.Add(ct0, ev.Neg(ct1))

@@ -97,12 +97,75 @@ func convContexts(t *testing.T, n int) []*Context {
 	return out
 }
 
+// largestPrimeBelow returns the largest prime below 2^bits.
+func largestPrimeBelow(bits uint) *big.Int {
+	p := new(big.Int).Lsh(big.NewInt(1), bits)
+	p.Sub(p, big.NewInt(1))
+	for !p.ProbablyPrime(32) {
+		p.Sub(p, big.NewInt(2))
+	}
+	return p
+}
+
+// sec109Q is the 109-bit paper modulus.
+func sec109Q() *big.Int {
+	q, _ := new(big.Int).SetString(testModuli[2], 10)
+	return q
+}
+
+// edgeContexts returns two-word contexts at the edges of the qring
+// window and of the fused sweeps: the largest primes below 2⁶⁶ and 2¹²⁴
+// (generic two-word loop, K = 3 and 5), the 109-bit modulus at the bound
+// bfv sizes its basis for at n = 4096 (K = 4, the unrolled form) and with
+// a wide bound (K ≥ 7).
+func edgeContexts(t *testing.T, n int) []*Context {
+	t.Helper()
+	shapes := []struct {
+		q     *big.Int
+		bound int // 0: 2·bits(q) + 40, as convContexts
+		wantK int // 0: any
+	}{
+		{largestPrimeBelow(66), 0, 0},
+		{largestPrimeBelow(124), 0, 0},
+		{sec109Q(), 232, 4},
+		{sec109Q(), 400, 7},
+	}
+	var out []*Context
+	for _, sh := range shapes {
+		mod, err := poly.NewModulus(sh.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := sh.bound
+		if bound == 0 {
+			bound = 2*mod.Bits() + 40
+		}
+		c, err := GetContext(mod, n, bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !c.RNSNative() {
+			t.Fatalf("context for %d-bit modulus is not RNS-native", mod.Bits())
+		}
+		if sh.wantK != 0 && c.K() != sh.wantK {
+			t.Fatalf("%d-bit modulus, bound %d: K = %d, want %d", mod.Bits(), bound, c.K(), sh.wantK)
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// oracleContexts is convContexts followed by edgeContexts.
+func oracleContexts(t *testing.T, n int) []*Context {
+	return append(convContexts(t, n), edgeContexts(t, n)...)
+}
+
 // TestConvModQOracle drives the fast base conversion against x mod q
 // computed with big.Int, over boundary and random inputs.
 func TestConvModQOracle(t *testing.T) {
 	const n = 64
 	rng := rand.New(rand.NewSource(7))
-	for _, c := range convContexts(t, n) {
+	for _, c := range oracleContexts(t, n) {
 		vals := testValues(c, n, rng)
 		x := residuePoly(c, vals)
 		lo := make([]uint64, n)
@@ -114,8 +177,8 @@ func TestConvModQOracle(t *testing.T) {
 			got.Lsh(got, 64)
 			got.Or(got, new(big.Int).SetUint64(lo[j]))
 			if got.Cmp(want) != 0 {
-				t.Fatalf("q=%d bits, coeff %d (x=%v): convModQ=%v want %v",
-					c.Mod.Bits(), j, v, got, want)
+				t.Fatalf("q=%d bits K=%d, coeff %d (x=%v): convModQ=%v want %v",
+					c.Mod.Bits(), c.K(), j, v, got, want)
 			}
 		}
 	}
@@ -128,7 +191,7 @@ func TestScaleRoundOracle(t *testing.T) {
 	const n = 64
 	rng := rand.New(rand.NewSource(11))
 	for _, tMod := range []uint64{2, 16, 65537} {
-		for _, c := range convContexts(t, n) {
+		for _, c := range oracleContexts(t, n) {
 			vals := testValues(c, n, rng)
 			x := residuePoly(c, vals)
 			// ScaleRound expects the NTT domain; transform the residues in.
@@ -148,8 +211,8 @@ func TestScaleRoundOracle(t *testing.T) {
 				num.Quo(num, c.Mod.QBig)
 				num.Mod(num, c.Mod.QBig)
 				if got.Coeff(j).Big().Cmp(num) != 0 {
-					t.Fatalf("q=%d bits t=%d coeff %d (x=%v): ScaleRound=%v want %v",
-						c.Mod.Bits(), tMod, j, v, got.Coeff(j).Big(), num)
+					t.Fatalf("q=%d bits K=%d t=%d coeff %d (x=%v): ScaleRound=%v want %v",
+						c.Mod.Bits(), c.K(), tMod, j, v, got.Coeff(j).Big(), num)
 				}
 			}
 		}
@@ -245,7 +308,7 @@ func TestRoundModTOracle(t *testing.T) {
 	const n = 64
 	rng := rand.New(rand.NewSource(17))
 	for _, tMod := range []uint64{2, 16, 65537} {
-		for _, c := range convContexts(t, n) {
+		for _, c := range oracleContexts(t, n) {
 			sr := c.ScaleRounder(tMod)
 			// The decryption phase magnitude is ~q·n²; give the oracle the
 			// widest window the limb-0 read supports.
@@ -278,8 +341,8 @@ func TestRoundModTOracle(t *testing.T) {
 				num.Quo(num, c.Mod.QBig)
 				num.Mod(num, tBig)
 				if out[j] != num.Uint64() {
-					t.Fatalf("q=%d bits t=%d coeff %d (x=%v): RoundModT=%d want %v",
-						c.Mod.Bits(), tMod, j, v, out[j], num)
+					t.Fatalf("q=%d bits K=%d t=%d coeff %d (x=%v): RoundModT=%d want %v",
+						c.Mod.Bits(), c.K(), tMod, j, v, out[j], num)
 				}
 			}
 		}

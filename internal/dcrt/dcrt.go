@@ -308,17 +308,12 @@ func (c *Context) FromRNS(p *Poly) *poly.Poly {
 // product accumulator — to mod q and packs it. Limb values may be lazily
 // reduced (< 2p). Requires an RNS-native context.
 func (c *Context) FromResidues(p *Poly) *poly.Poly {
-	uLo := c.getU64()
+	uLo, uHi := c.getU64(), c.getHi()
 	defer c.putU64(uLo)
-	var hi []uint64
-	if c.conv.qr.words == 2 {
-		uHi := c.getU64()
-		defer c.putU64(uHi)
-		hi = *uHi
-	}
-	c.convModQ(p, *uLo, hi)
+	defer c.putU64(uHi)
+	c.convModQ(p, *uLo, slab(uHi))
 	out := poly.NewPoly(c.N, c.Mod.W)
-	c.packModQ(out, *uLo, hi)
+	c.packModQ(out, *uLo, slab(uHi))
 	return out
 }
 

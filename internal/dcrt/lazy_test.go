@@ -163,7 +163,7 @@ func TestExtendResiduesOracle(t *testing.T) {
 func TestCenteredNTTFromResiduesOracle(t *testing.T) {
 	const n = 64
 	rng := rand.New(rand.NewSource(24))
-	for _, c := range convContexts(t, n) {
+	for _, c := range oracleContexts(t, n) {
 		vals := testValues(c, n, rng)
 		x := residuePoly(c, vals)
 		got := c.CenteredNTTFromResidues(x)
@@ -172,8 +172,8 @@ func TestCenteredNTTFromResiduesOracle(t *testing.T) {
 			r := c.Tabs[i].R
 			for j := 0; j < n; j++ {
 				if got.Coeffs[i][j]%r.Q != want.Coeffs[i][j]%r.Q {
-					t.Fatalf("q=%d bits limb %d slot %d: %d != %d mod p",
-						c.Mod.Bits(), i, j, got.Coeffs[i][j], want.Coeffs[i][j])
+					t.Fatalf("q=%d bits K=%d limb %d slot %d: %d != %d mod p",
+						c.Mod.Bits(), c.K(), i, j, got.Coeffs[i][j], want.Coeffs[i][j])
 				}
 			}
 		}

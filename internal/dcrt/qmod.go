@@ -11,9 +11,14 @@ import (
 // Context, used by the RNS-native base-conversion and scale-and-round
 // kernels. The paper's moduli are 27/54/109-bit primes, so q always fits
 // two 64-bit words: below 2⁶² a modring.Ring does the work, and between
-// 2⁶⁴ and 2¹²⁴ a two-word base-2⁶⁴ Barrett reduction (HAC 14.42 with
-// k = 2) does. Values are passed as (lo, hi) word pairs; for one-word
-// moduli hi is always zero.
+// 2⁶⁴ and 2¹²⁴ a three-word base-2⁶⁴ Barrett reduction (reduce192) does.
+// Values are passed as (lo, hi) word pairs; for one-word moduli hi is
+// always zero.
+//
+// Three words are enough for every value the kernels reduce: the base
+// conversion's dot product Σ γ_i·[(Q'/p_i) mod q] has K ≤ maxFusedChunk
+// terms, each below 2⁶⁰·q ≤ 2¹⁸⁴ (γ_i < p_i < 2⁶⁰), so it stays below
+// 2¹⁸⁹; and mulSmall's v·s is below q·2⁶⁴ < 2¹⁸⁸.
 //
 // Moduli with 63/64 bits (no headroom for either path), above 2¹²⁴, or
 // even (the centered remainder could tie at exactly q/2, which the
@@ -73,49 +78,53 @@ func bigWord(v *big.Int, i int) uint64 {
 	return uint64(w[i]) // big.Word is 64-bit on all supported platforms
 }
 
-// mulAddWord adds a·b to the multi-word accumulator acc, which must be
-// long enough to absorb the final carry.
-func mulAddWord(acc []uint64, a []uint64, b uint64) {
-	var carry uint64
-	for i, ai := range a {
-		hi, lo := bits.Mul64(ai, b)
-		s, c1 := bits.Add64(acc[i], lo, 0)
-		s, c2 := bits.Add64(s, carry, 0)
-		acc[i] = s
-		carry = hi + c1 + c2 // hi ≤ 2⁶⁴-2, so no overflow
-	}
-	for i := len(a); carry != 0; i++ {
-		acc[i], carry = bits.Add64(acc[i], carry, 0)
-	}
-}
+// reduce192 returns x mod q for the three-word value x = x2·2¹²⁸ +
+// x1·2⁶⁴ + x0. Two-word path only. It is HAC 14.42 with b = 2⁶⁴, k = 2
+// and μ = ⌊2²⁵⁶/q⌋, specialised to x < 2¹⁹². With a = ⌊x/2⁶⁴⌋ < 2¹²⁸ the
+// estimate q̂ = ⌊a·μ/2¹⁹²⌋ never exceeds x/q, and
+//
+//	x/q − a·μ/2¹⁹² < (x mod 2⁶⁴)/q + a/2¹⁹² < (2⁶⁴−1)/q + 2⁻⁶⁴ < 1
+//
+// because q > 2⁶⁴, so q̂ ≥ ⌊x/q⌋ − 1: the remainder x − q̂·q lies in
+// [0, 2q) ⊂ [0, 2¹²⁸) — two words, computed mod 2¹²⁸ — and one
+// conditional subtraction finishes (HAC's second correction covers
+// x up to 2²⁵⁶ and never fires here).
+func (qr *qring) reduce192(x0, x1, x2 uint64) (lo, hi uint64) {
+	// Words 3 and 4 of the exact product (x1 + x2·2⁶⁴)·(μ0 + μ1·2⁶⁴ + μ2·2¹²⁸).
+	h00, _ := bits.Mul64(x1, qr.mu[0])
+	h01, l01 := bits.Mul64(x1, qr.mu[1])
+	h02, l02 := bits.Mul64(x1, qr.mu[2])
+	h10, l10 := bits.Mul64(x2, qr.mu[0])
+	h11, l11 := bits.Mul64(x2, qr.mu[1])
+	h12, l12 := bits.Mul64(x2, qr.mu[2])
+	var c, c1, c2, c3 uint64
+	w, c1 := bits.Add64(h00, l01, 0)
+	_, c = bits.Add64(w, l10, 0)
+	c1 += c
+	w, c2 = bits.Add64(h01, h10, 0)
+	w, c = bits.Add64(w, l02, 0)
+	c2 += c
+	w, c = bits.Add64(w, l11, 0)
+	c2 += c
+	_, c = bits.Add64(w, c1, 0)
+	c2 += c
+	q3, c3 := bits.Add64(h02, h11, 0)
+	q3, c = bits.Add64(q3, l12, 0)
+	c3 += c
+	q3, c = bits.Add64(q3, c2, 0)
+	c3 += c
+	q4 := h12 + c3
 
-// reduce256 returns x mod q for the four-word value x (x < 2²⁵⁶ and
-// ⌊x/q⌋ < 2¹⁹² suffice for the HAC 14.42 error bound). Two-word path only.
-func (qr *qring) reduce256(x *[4]uint64) (lo, hi uint64) {
-	// q1hat = ⌊x / 2⁶⁴⌋ (three words), q3 = ⌊q1hat·mu / 2¹⁹²⌋.
-	var prod [7]uint64
-	q1hat := [3]uint64{x[1], x[2], x[3]}
-	for i := 0; i < 3; i++ {
-		mulAddWord(prod[i:], q1hat[:], qr.mu[i])
+	// r = (x − q̂·q) mod 2¹²⁸ < 2q, then one corrective subtraction.
+	ph, pl := bits.Mul64(q3, qr.q0)
+	ph += q3*qr.q1 + q4*qr.q0
+	lo, b := bits.Sub64(x0, pl, 0)
+	hi, _ = bits.Sub64(x1, ph, b)
+	if hi > qr.q1 || (hi == qr.q1 && lo >= qr.q0) {
+		lo, b = bits.Sub64(lo, qr.q0, 0)
+		hi, _ = bits.Sub64(hi, qr.q1, b)
 	}
-	q3 := [3]uint64{prod[3], prod[4], prod[5]}
-
-	// r = (x - q3·q) mod 2¹⁹², then at most two corrective subtractions.
-	var r2 [5]uint64
-	qw := [2]uint64{qr.q0, qr.q1}
-	for i := 0; i < 3; i++ {
-		mulAddWord(r2[i:], qw[:], q3[i])
-	}
-	r0, b := bits.Sub64(x[0], r2[0], 0)
-	r1, b := bits.Sub64(x[1], r2[1], b)
-	r2w, _ := bits.Sub64(x[2], r2[2], b)
-	for r2w != 0 || r1 > qr.q1 || (r1 == qr.q1 && r0 >= qr.q0) {
-		var bb uint64
-		r0, bb = bits.Sub64(r0, qr.q0, 0)
-		r1, bb = bits.Sub64(r1, qr.q1, bb)
-		r2w -= bb
-	}
-	return r0, r1
+	return lo, hi
 }
 
 // mulSmall returns (v·s) mod q for v = (lo, hi) < q and s < min(q, 2⁶⁴).
@@ -123,17 +132,14 @@ func (qr *qring) mulSmall(lo, hi, s uint64) (uint64, uint64) {
 	if qr.words == 1 {
 		return qr.r1.Mul(lo, s), 0
 	}
-	var acc [4]uint64
-	v := [2]uint64{lo, hi}
-	mulAddWord(acc[:], v[:], s)
-	return qr.reduce256(&acc)
+	h0, x0 := bits.Mul64(lo, s)
+	h1, l1 := bits.Mul64(hi, s)
+	x1, c := bits.Add64(h0, l1, 0)
+	return qr.reduce192(x0, x1, h1+c) // v·s < 2¹⁸⁸
 }
 
-// subMod returns (a - b) mod q for a, b < q.
+// subMod returns (a - b) mod q for a, b < q. Two-word path only.
 func (qr *qring) subMod(alo, ahi, blo, bhi uint64) (uint64, uint64) {
-	if qr.words == 1 {
-		return qr.r1.Sub(alo, blo), 0
-	}
 	lo, b := bits.Sub64(alo, blo, 0)
 	hi, b := bits.Sub64(ahi, bhi, b)
 	if b != 0 {
@@ -144,18 +150,32 @@ func (qr *qring) subMod(alo, ahi, blo, bhi uint64) (uint64, uint64) {
 	return lo, hi
 }
 
-// gtHalf reports v > ⌊q/2⌋ for v < q — the centering test matching
-// poly.Poly.ToCenteredCoeffs (and, q being odd, it can never tie).
-func (qr *qring) gtHalf(lo, hi uint64) bool {
-	if hi != qr.half1 {
-		return hi > qr.half1
+// put1 stores the one-word residue u < q at dst[j] — canonically when
+// sign is nil, else as its centered magnitude with sign[j] = 1 for
+// u > ⌊q/2⌋ (the centering test of poly.Poly.ToCenteredCoeffs; q being
+// odd, it can never tie).
+func (qr *qring) put1(dst, sign []uint64, j int, u uint64) {
+	if sign != nil {
+		var neg uint64
+		if u > qr.half0 {
+			u, neg = qr.q0-u, 1
+		}
+		sign[j] = neg
 	}
-	return lo > qr.half0
+	dst[j] = u
 }
 
-// negate returns q - v for 0 < v < q.
-func (qr *qring) negate(lo, hi uint64) (uint64, uint64) {
-	nlo, b := bits.Sub64(qr.q0, lo, 0)
-	nhi, _ := bits.Sub64(qr.q1, hi, b)
-	return nlo, nhi
+// put2 is put1 for the two-word residue (lo, hi) < q.
+func (qr *qring) put2(dstLo, dstHi, sign []uint64, j int, lo, hi uint64) {
+	if sign != nil {
+		var neg uint64
+		if hi > qr.half1 || (hi == qr.half1 && lo > qr.half0) {
+			var b uint64
+			lo, b = bits.Sub64(qr.q0, lo, 0)
+			hi, _ = bits.Sub64(qr.q1, hi, b)
+			neg = 1
+		}
+		sign[j] = neg
+	}
+	dstLo[j], dstHi[j] = lo, hi
 }

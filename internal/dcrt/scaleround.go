@@ -21,11 +21,19 @@ import (
 // A second conversion reduces Y itself mod q (Y is exact in the basis:
 // |Y| ≤ t·n·q/4 ≪ 2^BoundBits), giving the canonical result the
 // schoolbook oracle produces, bit for bit.
+//
+// The rounder keeps t-scaled copies of the conversion's mod-q tables:
+// t·[(Q'/p_i) mod q] mod q and t·[(e·Q' + δ) mod q] mod q. Run through
+// them, the fused conversion sweep produces t·X mod q instead of X mod q
+// — and, centering as it stores, the remainder r = t·X cmod q as a
+// magnitude and a sign — with no separate multiply-by-t or centering
+// pass over the coefficients.
 type ScaleRounder struct {
 	c *Context
 	t uint64
 
-	tP, tPShoup []uint64 // t mod p_i with Shoup companions
+	tP, tPShoup []uint64    // t mod p_i with Shoup companions
+	tq          *modQTables // the conversion tables times t, mod q
 }
 
 // ScaleRounder returns the shared rescaler for plaintext modulus t
@@ -41,7 +49,7 @@ func (c *Context) ScaleRounder(t uint64) *ScaleRounder {
 	if t == 0 || (c.Mod.QBig.IsUint64() && t >= c.Mod.QBig.Uint64()) {
 		panic(fmt.Sprintf("dcrt: scale factor t=%d out of range for q", t))
 	}
-	sr := &ScaleRounder{c: c, t: t}
+	sr := &ScaleRounder{c: c, t: t, tq: c.conv.tabs.scaled(c.conv.qr, t)}
 	for i, p := range c.Basis.Primes {
 		tp := t % p
 		sr.tP = append(sr.tP, tp)
@@ -83,15 +91,15 @@ func (sr *ScaleRounder) RoundModT(x *Poly, out []uint64) {
 	tmp := c.inttLazy(x)
 	defer c.PutScratch(tmp)
 
-	uLo := c.getU64()
-	uHi := c.getU64()
-	neg := c.getU64()
+	uLo, uHi, neg := c.getU64(), c.getHi(), c.getU64()
 	defer c.putU64(uLo)
 	defer c.putU64(uHi)
 	defer c.putU64(neg)
-	lo, hi, sign := *uLo, *uHi, *neg
+	lo, hi, sign := *uLo, slab(uHi), *neg
 
-	c.convModQ(tmp, lo, hi)
+	// r = t·X cmod q as magnitude (lo[, hi]) and sign, straight from the
+	// t-scaled conversion sweep.
+	c.convSweep(tmp, sr.tq, lo, hi, sign)
 	r0 := c.Tabs[0].R
 	p0 := c.Basis.Primes[0]
 	half0 := p0 >> 1
@@ -101,17 +109,14 @@ func (sr *ScaleRounder) RoundModT(x *Poly, out []uint64) {
 	x0 := tmp.Coeffs[0]
 	parallelChunks(c.N, func(from, to int) {
 		for j := from; j < to; j++ {
-			rlo, rhi := cv.qr.mulSmall(lo[j], hi[j], t)
-			if cv.qr.gtHalf(rlo, rhi) {
-				rlo, rhi = cv.qr.negate(rlo, rhi)
-				sign[j] = 1
-			} else {
-				sign[j] = 0
-			}
 			tx := r0.MulShoup(x0[j], tP, tPs)
-			rm := rlo
+			rm := lo[j]
 			if !cv.remFits[0] {
-				rm = r0.ReduceWide(rhi, rlo)
+				var rhi uint64
+				if hi != nil {
+					rhi = hi[j]
+				}
+				rm = r0.ReduceWide(rhi, rm)
 			}
 			var d uint64
 			if sign[j] != 0 {
@@ -183,48 +188,16 @@ func (sr *ScaleRounder) scaleRoundResidues(x *Poly, inPlace bool, add *Poly) *Po
 		tmp = c.inttLazy(x)
 	}
 
-	uLo := c.getU64()
-	neg := c.getU64()
+	uLo, uHi, neg := c.getU64(), c.getHi(), c.getU64()
 	defer c.putU64(uLo)
+	defer c.putU64(uHi)
 	defer c.putU64(neg)
-	lo, sign := *uLo, *neg
+	lo, hi, sign := *uLo, slab(uHi), *neg
 
-	// u = X mod q, then the centered remainder r = t·u cmod q, stored as
-	// magnitude (lo[, hi]) plus sign. One-word moduli skip the high slab.
-	var hi []uint64
-	if cv.qr.words == 1 {
-		r1, q0, half0 := cv.qr.r1, cv.qr.q0, cv.qr.half0
-		c.convModQ(tmp, lo, nil)
-		parallelChunks(c.N, func(from, to int) {
-			for j := from; j < to; j++ {
-				r := r1.Mul(lo[j], sr.t)
-				if r > half0 {
-					lo[j] = q0 - r
-					sign[j] = 1
-				} else {
-					lo[j] = r
-					sign[j] = 0
-				}
-			}
-		})
-	} else {
-		uHi := c.getU64()
-		defer c.putU64(uHi)
-		hi = *uHi
-		c.convModQ(tmp, lo, hi)
-		parallelChunks(c.N, func(from, to int) {
-			for j := from; j < to; j++ {
-				rlo, rhi := cv.qr.mulSmall(lo[j], hi[j], sr.t)
-				if cv.qr.gtHalf(rlo, rhi) {
-					rlo, rhi = cv.qr.negate(rlo, rhi)
-					sign[j] = 1
-				} else {
-					sign[j] = 0
-				}
-				lo[j], hi[j] = rlo, rhi
-			}
-		})
-	}
+	// The centered remainder r = t·X cmod q, stored as magnitude
+	// (lo[, hi]) plus sign, from one sweep over the t-scaled tables.
+	// One-word moduli skip the high slab.
+	c.convSweep(tmp, sr.tq, lo, hi, sign)
 
 	// Per-limb exact division: y_i = (t·x_i − r)·q⁻¹ mod p_i. The lazy
 	// (< 2p) transform values fold exactly through the Shoup multiply,
@@ -307,65 +280,32 @@ func (sr *ScaleRounder) scaleRoundResidues(x *Poly, inPlace bool, add *Poly) *Po
 func (sr *ScaleRounder) ScaleRoundDigits(x *Poly, baseBits uint, count, limbs int) []*Poly {
 	c := sr.c
 	tmp := sr.ScaleRoundResiduesInPlace(x)
-	uLo := c.getU64()
+	uLo, uHi := c.getU64(), c.getHi()
 	defer c.putU64(uLo)
-	var hi []uint64
-	if c.conv.qr.words == 2 {
-		uHi := c.getU64()
-		defer c.putU64(uHi)
-		hi = *uHi
-	}
-	c.convModQ(tmp, *uLo, hi)
-	return c.DigitsToRNSWords(*uLo, hi, baseBits, count, limbs)
+	defer c.putU64(uHi)
+	c.convModQ(tmp, *uLo, slab(uHi))
+	return c.DigitsToRNSWords(*uLo, slab(uHi), baseBits, count, limbs)
 }
 
 // CenteredNTTFromResidues converts a residue-domain element representing
 // exact integer coefficients X (inside the basis exactness window) into
 // the NTT-domain centered-mod-q form — bit-identical to packing X mod q
 // and calling ToRNSCentered, without leaving the RNS domain: one base
-// conversion gives u = X mod q, the centered representative u or u−q
-// reduces into each limb channel as a word-pair fold, and the limb
+// conversion sweep gives the centered representative of X mod q (u or
+// u−q, as magnitude and sign), it reduces into each limb channel as a
+// word-pair fold, and the limb
 // channels transform forward (lazily: the form feeds pointwise Barrett
 // products, which reduce any operand exactly). The result is pooled;
 // callers return it via PutScratch. Requires an RNS-native context.
 func (c *Context) CenteredNTTFromResidues(x *Poly) *Poly {
 	cv := c.conv
-	uLo := c.getU64()
-	neg := c.getU64()
+	uLo, uHi, neg := c.getU64(), c.getHi(), c.getU64()
 	defer c.putU64(uLo)
+	defer c.putU64(uHi)
 	defer c.putU64(neg)
-	lo, sign := *uLo, *neg
+	lo, hi, sign := *uLo, slab(uHi), *neg
+	c.convSweep(x, &cv.tabs, lo, hi, sign)
 
-	var hi []uint64
-	if cv.qr.words == 1 {
-		q0, half0 := cv.qr.q0, cv.qr.half0
-		c.convModQ(x, lo, nil)
-		parallelChunks(c.N, func(from, to int) {
-			for j := from; j < to; j++ {
-				if lo[j] > half0 {
-					lo[j] = q0 - lo[j]
-					sign[j] = 1
-				} else {
-					sign[j] = 0
-				}
-			}
-		})
-	} else {
-		uHi := c.getU64()
-		defer c.putU64(uHi)
-		hi = *uHi
-		c.convModQ(x, lo, hi)
-		parallelChunks(c.N, func(from, to int) {
-			for j := from; j < to; j++ {
-				if cv.qr.gtHalf(lo[j], hi[j]) {
-					lo[j], hi[j] = cv.qr.negate(lo[j], hi[j])
-					sign[j] = 1
-				} else {
-					sign[j] = 0
-				}
-			}
-		})
-	}
 	out := c.getScratch()
 	parallelFor(c.K(), func(i int) {
 		r := c.Tabs[i].R
