@@ -31,8 +31,9 @@
 //
 // Failures map to statuses by sentinel (see HTTPStatus): unknown
 // fingerprint 404, per-tenant quota 429, global quota 503, corrupt
-// blob 400, semantic rejections (missing Galois key, no batching) 422,
-// backend failure 500. Error bodies are JSON with the sentinel's code
+// blob 400, onboarding body over the cache budget 413, semantic
+// rejections (missing Galois key, no batching) 422, backend failure
+// 500. Error bodies are JSON with the sentinel's code
 // in "code".
 package serve
 
@@ -65,6 +66,9 @@ var (
 	// ErrOverloaded: the server's global in-flight quota is exhausted
 	// (HTTP 503).
 	ErrOverloaded = errors.New("serve: server overloaded")
+	// ErrBodyTooLarge: an onboarding body exceeds the key-set cache's
+	// byte budget, so it could never stay resident (HTTP 413).
+	ErrBodyTooLarge = errors.New("serve: request body too large")
 )
 
 // Options configures a Server.
@@ -75,7 +79,9 @@ type Options struct {
 	ContextOptions []hebfv.Option
 	// MaxCacheBytes bounds the resident tenant key material (0 =
 	// unbounded). Sizing uses the onboarded blob length — the key
-	// material dominates a context's footprint.
+	// material dominates a context's footprint — and it also caps one
+	// onboarding body: a longer one is refused with 413 as soon as the
+	// read crosses the budget, before it is decoded any further.
 	MaxCacheBytes int64
 	// Window bounds how long a submitted op may wait for batch-mates
 	// (default 2ms).
@@ -160,6 +166,8 @@ func HTTPStatus(err error) int {
 		return http.StatusTooManyRequests // 429: per-tenant backpressure
 	case errors.Is(err, ErrOverloaded), errors.Is(err, hebfv.ErrContextClosed):
 		return http.StatusServiceUnavailable // 503: retry elsewhere/later
+	case errors.Is(err, ErrBodyTooLarge):
+		return http.StatusRequestEntityTooLarge // 413: key set over the cache budget
 	case errors.Is(err, hebfv.ErrCorruptBlob):
 		return http.StatusBadRequest // 400: malformed wire bytes
 	case errors.Is(err, hebfv.ErrNoSecretKey), errors.Is(err, hebfv.ErrNoBatching),
@@ -181,6 +189,7 @@ func errorCode(err error) string {
 		{ErrUnknownKeySet, "unknown_keyset"},
 		{ErrTenantBusy, "tenant_busy"},
 		{ErrOverloaded, "overloaded"},
+		{ErrBodyTooLarge, "body_too_large"},
 		{hebfv.ErrContextClosed, "context_closed"},
 		{hebfv.ErrCorruptBlob, "corrupt_blob"},
 		{hebfv.ErrNoSecretKey, "no_secret_key"},
@@ -245,6 +254,10 @@ func (s *Server) admit(id [32]byte) (func(), error) {
 // deduplicates on insert.
 func (s *Server) handleOnboard(w http.ResponseWriter, r *http.Request) {
 	defer r.Body.Close()
+	body := r.Body
+	if s.opts.MaxCacheBytes > 0 {
+		body = http.MaxBytesReader(w, r.Body, s.opts.MaxCacheBytes)
+	}
 	if hint := r.URL.Query().Get("sha256"); hint != "" {
 		id, err := parseFingerprint(hint)
 		if err != nil {
@@ -252,7 +265,7 @@ func (s *Server) handleOnboard(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		_, release, built, err := s.cache.AcquireOrBuild(id, func() (*hebfv.Context, int64, error) {
-			ctx, got, n, err := s.buildTenant(r.Body)
+			ctx, got, n, err := s.buildTenant(body)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -271,7 +284,7 @@ func (s *Server) handleOnboard(w http.ResponseWriter, r *http.Request) {
 		s.writeOnboarded(w, id, !built)
 		return
 	}
-	ctx, id, n, err := s.buildTenant(r.Body)
+	ctx, id, n, err := s.buildTenant(body)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -294,6 +307,10 @@ func (s *Server) buildTenant(r io.Reader) (*hebfv.Context, [32]byte, int64, erro
 	opts := append(append([]hebfv.Option{}, s.opts.ContextOptions...), hebfv.WithKeySetFrom(cr))
 	ctx, err := hebfv.New(opts...)
 	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(cr.err, &tooLarge) {
+			return nil, [32]byte{}, 0, fmt.Errorf("%w: key set exceeds the %d-byte cache budget", ErrBodyTooLarge, tooLarge.Limit)
+		}
 		return nil, [32]byte{}, 0, err
 	}
 	if ctx.CanDecrypt() {
@@ -496,14 +513,19 @@ func parseFingerprint(hexID string) ([32]byte, error) {
 }
 
 // countingReader counts bytes as they stream through — the cache's
-// per-tenant size estimate.
+// per-tenant size estimate — and keeps the first read error, which the
+// key-set decoder reports only as text.
 type countingReader struct {
-	r io.Reader
-	n int64
+	r   io.Reader
+	n   int64
+	err error
 }
 
 func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
+	if c.err == nil {
+		c.err = err
+	}
 	return n, err
 }

@@ -293,6 +293,56 @@ func TestServeTypedRejections(t *testing.T) {
 	}
 }
 
+// TestServeOnboardBodyCap: an onboarding body longer than the cache
+// budget is refused with a typed 413 on both onboarding paths, leaves
+// the cache as it was, and the server still onboards a key set that
+// fits.
+func TestServeOnboardBodyCap(t *testing.T) {
+	small := newClient(t, 21)
+	smallBlob, err := small.ExportKeys(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := hebfv.New(hebfv.WithInsecureToyParameters(), hebfv.WithSeed(22), hebfv.WithRotations(1, 2, 3, 4, 5, 6, 7, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigBlob, err := big.ExportKeys(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := int64(len(smallBlob)) + int64(len(bigBlob)-len(smallBlob))/2
+	if int64(len(bigBlob)) <= budget {
+		t.Fatalf("key sets too close in size: %d and %d bytes", len(smallBlob), len(bigBlob))
+	}
+	s, hs := newTestServer(t, Options{MaxCacheBytes: budget})
+	before := s.Cache().Stats()
+	bigFP := big.KeySetHash()
+	for _, url := range []string{
+		hs.URL + "/v1/keysets",
+		fmt.Sprintf("%s/v1/keysets?sha256=%x", hs.URL, bigFP[:]),
+	} {
+		resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(bigBlob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			resp.Body.Close()
+			t.Fatalf("%s: oversize key set: HTTP %d, want 413", url, resp.StatusCode)
+		}
+		if code := errCode(t, resp); code != "body_too_large" {
+			t.Fatalf("%s: oversize key set code %q", url, code)
+		}
+	}
+	if after := s.Cache().Stats(); after.Entries != before.Entries || after.Bytes != before.Bytes || after.Builds != before.Builds {
+		t.Fatalf("rejected onboarding changed the cache: %+v -> %+v", before, after)
+	}
+	onboard(t, hs.URL, small, false)
+	if st := s.Cache().Stats(); st.Entries != 1 || st.Bytes != int64(len(smallBlob)) {
+		t.Fatalf("valid onboarding after rejection: cache %+v", st)
+	}
+}
+
 // TestServeQuota429 pins the backpressure contract: with a per-tenant
 // quota of 1 and a coalescing window long enough to hold requests in
 // flight, a concurrent burst sees typed 429s — and the server serves

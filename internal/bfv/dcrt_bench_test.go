@@ -166,6 +166,32 @@ func BenchmarkMulChainDeferredSec109(b *testing.B) {
 	benchmarkMulChainDeferred(b, ParamsSec109(), 1)
 }
 
+// BenchmarkSumSec109 is the stats-host mean job at the served parameters
+// (n = 4096, 109-bit q): Evaluator.Sum over 64 fresh ciphertexts, 63
+// ciphertext adds on the unmetered word kernels into one fresh output.
+func BenchmarkSumSec109(b *testing.B) {
+	params := ParamsSec109()
+	src := sampling.NewSourceFromUint64(109)
+	kg := NewKeyGenerator(params, src)
+	_, pk := kg.GenKeyPair()
+	enc := NewEncryptor(params, pk, src)
+	cts := make([]*Ciphertext, 64)
+	for i := range cts {
+		var err error
+		if cts[i], err = enc.EncryptValue(uint64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ev := NewEvaluator(params, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sumSink = ev.Sum(cts)
+	}
+}
+
+var sumSink *Ciphertext
+
 // BenchmarkMulManySum measures the dot-product reduction Σᵢ aᵢ·bᵢ over 8
 // pairs, materialized (MulMany + Add fold) vs deferred (MulManyNTT + RNS
 // domain Add fold, one final conversion pair).

@@ -125,9 +125,27 @@ func (ev *Evaluator) addInPlace(acc, ct *Ciphertext) {
 	}
 }
 
-// Sub returns ct0 - ct1.
+// Sub returns ct0 - ct1 in one pass into a fresh output. Operands of
+// different degrees are supported as in Add: a component only ct0 has
+// is copied, one only ct1 has is negated.
 func (ev *Evaluator) Sub(ct0, ct1 *Ciphertext) *Ciphertext {
-	return ev.Add(ct0, ev.Neg(ct1))
+	par := ev.params
+	out := &Ciphertext{Polys: make([]*poly.Poly, max(len(ct0.Polys), len(ct1.Polys)))}
+	for i := range out.Polys {
+		switch {
+		case i >= len(ct0.Polys):
+			p := poly.NewPoly(par.N, par.Q.W)
+			poly.Neg(p, ct1.Polys[i], par.Q, ev.Meter)
+			out.Polys[i] = p
+		case i >= len(ct1.Polys):
+			out.Polys[i] = ct0.Polys[i].Clone()
+		default:
+			p := poly.NewPoly(par.N, par.Q.W)
+			poly.Sub(p, ct0.Polys[i], ct1.Polys[i], par.Q, ev.Meter)
+			out.Polys[i] = p
+		}
+	}
+	return out
 }
 
 // Neg returns -ct.
@@ -145,8 +163,12 @@ func (ev *Evaluator) Neg(ct *Ciphertext) *Ciphertext {
 // AddPlain returns ct + Δ·m for plaintext m.
 func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	par := ev.params
-	out := ct.Clone()
-	poly.Add(out.Polys[0], out.Polys[0], deltaPoly(par, pt), par.Q, ev.Meter)
+	out := &Ciphertext{Polys: make([]*poly.Poly, len(ct.Polys))}
+	out.Polys[0] = poly.NewPoly(par.N, par.Q.W)
+	poly.Add(out.Polys[0], ct.Polys[0], deltaPoly(par, pt), par.Q, ev.Meter)
+	for i, p := range ct.Polys[1:] {
+		out.Polys[i+1] = p.Clone()
+	}
 	return out
 }
 

@@ -25,28 +25,12 @@ type GaloisKey struct {
 	forms keyForms // lazily-built double-CRT forms (see dcrt.go)
 }
 
-// applyGaloisPoly maps coefficient i to position i·g mod 2N with the
-// negacyclic sign rule (X^N ≡ −1).
+// applyGaloisPoly returns τ_g(p) in a fresh polynomial (see
+// poly.Automorphism).
 func applyGaloisPoly(p *poly.Poly, g uint64, mod *poly.Modulus, m limb32.Meter) *poly.Poly {
-	n := p.N
-	out := poly.NewPoly(n, p.W)
-	for i := 0; i < n; i++ {
-		j := int((uint64(i) * g) % uint64(2*n))
-		src := p.Coeff(i)
-		if j < n {
-			out.Coeff(j).Set(src)
-			tick2(m, limb32.OpMove, p.W)
-		} else {
-			limb32.NegMod(out.Coeff(j-n), src, mod.Q, m)
-		}
-	}
+	out := poly.NewPoly(p.N, p.W)
+	poly.Automorphism(out, p, g, mod, m)
 	return out
-}
-
-func tick2(m limb32.Meter, op limb32.Op, n int) {
-	if m != nil {
-		m.Tick(op, n)
-	}
 }
 
 // GenGaloisKey derives the key-switching key for the automorphism X→X^g.

@@ -7,7 +7,6 @@ import (
 	"io"
 	"sync"
 
-	"repro/internal/limb32"
 	"repro/internal/poly"
 )
 
@@ -100,18 +99,16 @@ func readPoly(r io.Reader, n, width int, alloc BackingAllocator) (*poly.Poly, er
 // downstream arithmetic assumes fully reduced residues, and a hostile
 // blob must not smuggle unreduced ones past the boundary. On any error
 // the backing (if pooled) has already been returned to alloc.
-func readPolyCanonical(r io.Reader, n, width int, q limb32.Nat, alloc BackingAllocator) (*poly.Poly, error) {
-	p, err := readPoly(r, n, width, alloc)
+func readPolyCanonical(r io.Reader, n int, mod *poly.Modulus, alloc BackingAllocator) (*poly.Poly, error) {
+	p, err := readPoly(r, n, mod.W, alloc)
 	if err != nil {
 		return nil, err
 	}
-	for c := 0; c < n; c++ {
-		if limb32.Cmp(limb32.Nat(p.C[c*width:(c+1)*width]), q, nil) >= 0 {
-			if alloc != nil {
-				alloc.Put(p.C)
-			}
-			return nil, fmt.Errorf("bfv: non-canonical coefficient %d (not reduced mod q)", c)
+	if c := poly.FirstUnreduced(p, mod); c >= 0 {
+		if alloc != nil {
+			alloc.Put(p.C)
 		}
+		return nil, fmt.Errorf("bfv: non-canonical coefficient %d (not reduced mod q)", c)
 	}
 	return p, nil
 }
@@ -167,7 +164,7 @@ func ReadCiphertextBacked(r io.Reader, params *Parameters, alloc BackingAllocato
 	}
 	ct := &Ciphertext{Polys: make([]*poly.Poly, count)}
 	for i := range ct.Polys {
-		p, err := readPolyCanonical(r, n, w, params.Q.Q, alloc)
+		p, err := readPolyCanonical(r, n, params.Q, alloc)
 		if err != nil {
 			if alloc != nil {
 				for _, done := range ct.Polys[:i] {
@@ -213,7 +210,7 @@ func ReadSecretKey(r io.Reader, params *Parameters) (*SecretKey, error) {
 }
 
 func readPolyAsSecret(r io.Reader, params *Parameters) (*SecretKey, error) {
-	p, err := readPolyCanonical(r, params.N, params.Q.W, params.Q.Q, nil)
+	p, err := readPolyCanonical(r, params.N, params.Q, nil)
 	if err != nil {
 		return nil, err
 	}

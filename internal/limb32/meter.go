@@ -4,9 +4,12 @@
 // Every routine accepts a Meter. When the Meter is non-nil, the routine
 // charges it one tick per dynamic instruction the equivalent DPU code would
 // execute (register loads, stores, adds with carry, software multiplies,
-// loop overhead). Host-side callers pass nil and pay nothing. This is how
-// the same arithmetic code serves both as the functional implementation and
-// as the instruction-count source for the PIM cycle model.
+// loop overhead): the metered limb stream is the instruction-count source
+// for the PIM cycle model, and the PIM kernels and the metered schoolbook
+// evaluator run it. A nil Meter costs one branch per routine, but the hot
+// unmetered host loops do not come here at all: internal/poly's Add, Sub,
+// Neg, Automorphism and FirstUnreduced run word kernels on 64-bit words
+// when the Meter is nil and produce the same bits as these routines.
 //
 // The paper (§3) represents 27-, 54- and 109-bit polynomial coefficients as
 // 32-, 64- and 128-bit integers, i.e. 1, 2 and 4 limbs, "because the UPMEM

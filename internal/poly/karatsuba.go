@@ -119,21 +119,6 @@ func schoolbookFull(a, b []uint64, q uint64, m limb32.Meter) []uint64 {
 	return out
 }
 
-func addMod64(a, b, q uint64) uint64 {
-	s := a + b
-	if s >= q {
-		s -= q
-	}
-	return s
-}
-
-func subMod64(a, b, q uint64) uint64 {
-	if a >= b {
-		return a - b
-	}
-	return a + q - b
-}
-
 func tick(m limb32.Meter, op limb32.Op, n int) {
 	if m != nil && n > 0 {
 		m.Tick(op, n)

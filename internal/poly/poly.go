@@ -5,8 +5,15 @@
 // and 109-bit security levels — in one flat slice, mirroring the memory
 // layout the PIM kernels stream out of MRAM.
 //
-// All mutating operations accept a limb32.Meter so the PIM simulator can
-// charge exact per-instruction costs while host callers pass nil.
+// Mutating operations accept a limb32.Meter, and the Meter picks the
+// instruction stream. With a non-nil Meter an operation runs the
+// DPU-faithful limb32 loop and charges the PIM simulator every
+// instruction of it: that stream is the PIM cost model. Host callers
+// pass nil, and Add, Sub, Neg, Automorphism and the FirstUnreduced
+// range check then run word kernels that treat each 1-, 2- or 4-limb
+// coefficient as one or two uint64 words (see words.go). Both streams
+// produce the same bits. Moduli wider than 128 bits, reachable only
+// from this package's tests, keep the limb loop either way.
 package poly
 
 import (
@@ -25,6 +32,8 @@ type Modulus struct {
 	QBig *big.Int   // q as a big integer
 	Half *big.Int   // floor(q/2), for centered lifts
 	BR   *limb32.Barrett
+
+	qw [2]uint64 // q as little-endian words, for the word kernels (W ≤ 4)
 }
 
 // NewModulus builds a Modulus for q > 1. The limb width is the smallest of
@@ -47,13 +56,20 @@ func NewModulus(q *big.Int) (*Modulus, error) {
 		w = (bits + 31) / 32
 	}
 	qn := limb32.FromBig(q, w)
-	return &Modulus{
+	mod := &Modulus{
 		W:    w,
 		Q:    qn,
 		QBig: new(big.Int).Set(q),
 		Half: new(big.Int).Rsh(q, 1),
 		BR:   limb32.NewBarrett(qn),
-	}, nil
+	}
+	if wordKernels(mod) {
+		mod.qw[0] = qn.Uint64()
+		if w == 4 {
+			mod.qw[1] = limb32.Nat(qn[2:]).Uint64()
+		}
+	}
+	return mod, nil
 }
 
 // Bits returns the bit length of q.
@@ -137,26 +153,44 @@ func checkShapes(dst, a, b *Poly, mod *Modulus) {
 	}
 }
 
-// Add sets dst = a + b in R_q. dst may alias a or b.
+// Add sets dst = a + b in R_q. dst may alias a or b. Unmetered, it is
+// a word kernel that subtracts q once when the add carries out of the
+// top word or the sum is ≥ q; metered, it is limb32.AddMod per
+// coefficient. Both give the same bits.
 func Add(dst, a, b *Poly, mod *Modulus, m limb32.Meter) {
 	checkShapes(dst, a, b, mod)
+	if m == nil && wordKernels(mod) {
+		addWords(dst.C, a.C, b.C, mod)
+		return
+	}
 	for i := 0; i < dst.N; i++ {
 		limb32.AddMod(dst.Coeff(i), a.Coeff(i), b.Coeff(i), mod.Q, m)
 	}
 }
 
-// Sub sets dst = a - b in R_q.
+// Sub sets dst = a - b in R_q. dst may alias a or b. Unmetered, it is
+// a word kernel that adds q back on borrow; metered, it is
+// limb32.SubMod per coefficient.
 func Sub(dst, a, b *Poly, mod *Modulus, m limb32.Meter) {
 	checkShapes(dst, a, b, mod)
+	if m == nil && wordKernels(mod) {
+		subWords(dst.C, a.C, b.C, mod)
+		return
+	}
 	for i := 0; i < dst.N; i++ {
 		limb32.SubMod(dst.Coeff(i), a.Coeff(i), b.Coeff(i), mod.Q, m)
 	}
 }
 
-// Neg sets dst = -a in R_q.
+// Neg sets dst = -a in R_q (−0 = 0). dst may alias a. Unmetered, it is
+// a word kernel; metered, it is limb32.NegMod per coefficient.
 func Neg(dst, a *Poly, mod *Modulus, m limb32.Meter) {
 	if dst.N != a.N || dst.W != mod.W || a.W != mod.W {
 		panic("poly: operand shape mismatch")
+	}
+	if m == nil && wordKernels(mod) {
+		negWords(dst.C, a.C, mod)
+		return
 	}
 	for i := 0; i < dst.N; i++ {
 		limb32.NegMod(dst.Coeff(i), a.Coeff(i), mod.Q, m)

@@ -10,7 +10,7 @@ import (
 )
 
 // The paper's three coefficient moduli (27-, 54-, 109-bit primes).
-func testModuli(t *testing.T) []*Modulus {
+func testModuli(t testing.TB) []*Modulus {
 	t.Helper()
 	var mods []*Modulus
 	for _, s := range []string{
